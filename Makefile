@@ -33,15 +33,18 @@ test-batch-equivalence:
 		-q -m "not chaos" --hypothesis-seed=0
 
 # Parallel + incremental EM: the differential suite (serial vs pool
-# bit-identity across worker counts, chaos failover) plus the
-# warm-start property suite (perturbed-epoch closeness, identical-
-# epoch non-inferiority, degenerate-seed rejection).  Pinned hash +
-# hypothesis seeds keep failures reproducible; the timeout turns a
-# wedged worker pool into a failure instead of a stuck job.
+# bit-identity across worker counts, chaos failover), the warm-start
+# property suite (perturbed-epoch closeness, identical-epoch
+# non-inferiority, degenerate-seed rejection) and the vectorized
+# E-step's differential suite (sparse unit kernel, grouped
+# preparation and bincount initial guess against the per-group
+# reference).  Pinned hash + hypothesis seeds keep failures
+# reproducible; the timeout turns a wedged worker pool into a failure
+# instead of a stuck job.
 test-em-parallel:
 	PYTHONHASHSEED=0 timeout 600 $(PYTHON) -m pytest \
 		tests/test_em_parallel.py tests/test_em_warmstart_properties.py \
-		-q --hypothesis-seed=0
+		tests/test_em_vectorized.py -q --hypothesis-seed=0
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only

@@ -51,19 +51,20 @@ def estimate_distribution(sketch: Measurable,
             raise :class:`~repro.errors.EMWarmStartError`.
 
     Returns:
-        An :class:`EMResult`; for FCM+TopK the resident heavy flows are
-        added to the EM output as exact single flows.
+        An :class:`EMResult`; for FCM+TopK each resident heavy flow is
+        added to the EM output as one flow of its Top-K count, so the
+        estimate's mass equals the packets ingested.
     """
     if isinstance(sketch, FCMTopK):
         with EMEstimator(convert_sketch(sketch.fcm), config=config,
                          telemetry=telemetry) as base:
             result = base.run(iterations=iterations, callback=callback,
                               warm_start=warm_start)
-        heavy_sizes = []
-        for key, _, _ in sketch.topk.entries():
-            size = sketch.query(key)
-            if size > 0:
-                heavy_sizes.append(size)
+        # A flagged resident's packets from before it took the bucket
+        # live in the FCM residue, which EM has already placed; adding
+        # it at ``sketch.query(key)`` would count that residue twice.
+        heavy_sizes = [count for _, count, _ in sketch.topk.entries()
+                       if count > 0]
         top = max([result.size_counts.shape[0] - 1] + heavy_sizes)
         counts = np.zeros(top + 1, dtype=np.float64)
         counts[: result.size_counts.shape[0]] = result.size_counts

@@ -28,7 +28,10 @@ truncated by counter value and degree.  The ladder (all configurable):
   tail is dominated by single elephants).
 
 Combination sets depend only on ``(V, degree, min_path, max_flows)`` and
-are cached process-wide; per-iteration work is vectorized with numpy.
+are cached process-wide as flat tables (:func:`combination_table`).
+Preparation groups a tree's counters with one ``np.unique`` and looks
+each distinct key up once; an iteration evaluates each work unit with
+two sparse products (:func:`~repro.core.em_parallel.unit_partial`).
 
 Scale-out (§7.3.2): each iteration's response step decomposes into
 independent ``(tree, degree-group)`` units reduced in a fixed float64
@@ -42,10 +45,11 @@ start would spend rediscovering a near-identical distribution.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 from scipy.special import gammaln
@@ -73,15 +77,13 @@ def _partitions(value: int, max_parts: int,
     """Yield partitions of ``value`` into 1..max_parts parts, each
     at least ``min_part``, as non-decreasing lists."""
     def recurse(remaining: int, low: int, parts: List[int]):
-        slots = max_parts - len(parts)
-        for part in range(low, remaining + 1):
-            rest = remaining - part
-            if rest == 0:
-                yield parts + [part]
-            elif slots > 1 and rest >= part:
-                # Non-decreasing order: the rest must be expressible as
-                # parts >= `part` within the remaining slots.
-                yield from recurse(rest, part, parts + [part])
+        if max_parts - len(parts) > 1:
+            # Non-decreasing order: the rest must be expressible as
+            # parts >= `part` within the remaining slots.
+            for part in range(low, remaining // 2 + 1):
+                yield from recurse(remaining - part, part, parts + [part])
+        if remaining >= low:
+            yield parts + [remaining]
 
     if value <= 0 or max_parts <= 0:
         return
@@ -167,31 +169,19 @@ def _exact_partitions(value: int, parts: int,
     yield from recurse(value, min_part, parts, [])
 
 
-@lru_cache(maxsize=None)
-def enumerate_combinations(value: int, degree: int, min_path: int,
-                           max_flows: int) -> Tuple[Combination, ...]:
-    """All feasible flow-size combinations for a virtual counter.
-
-    Args:
-        value: the virtual counter value ``V``.
-        degree: number of merged paths ``xi``.
-        min_path: minimum per-path flow sum (``theta_1 + 1`` for
-            counters merged above stage 1, else 1).
-        max_flows: truncation on the number of colliding flows.
-
-    Returns:
-        Tuple of ``(sizes, multiplicities)`` pairs, where ``sizes`` are
-        the distinct flow sizes in the multiset.
-    """
+def _combinations(value: int, degree: int, min_path: int,
+                  max_flows: int) -> Iterable[Combination]:
+    """Generate the feasible combinations of one virtual counter
+    (uncached; see :func:`combination_table`)."""
     if value <= 0 or degree <= 0 or max_flows < degree:
-        return ()
+        return
     if max_flows == degree:
         # Exactly one flow per merged path: each flow must itself be
         # at least ``min_path``; no cover search needed.  This is the
         # dominant case under §4.3's tight truncation tier, so it gets
         # a direct generator instead of the generic recursion.
-        return tuple(_exact_partitions(value, degree, min_path))
-    combos: List[Combination] = []
+        yield from _exact_partitions(value, degree, min_path)
+        return
     for parts in _partitions(value, max_flows):
         if len(parts) < degree:
             continue
@@ -206,8 +196,91 @@ def enumerate_combinations(value: int, degree: int, min_path: int,
             else:
                 sizes.append(p)
                 mults.append(1)
-        combos.append((tuple(sizes), tuple(mults)))
-    return tuple(combos)
+        yield tuple(sizes), tuple(mults)
+
+
+@dataclass(frozen=True)
+class CombinationTable:
+    """One counter's combination set ``Omega(V, xi)`` as flat arrays.
+
+    Combination ``c`` owns entries ``indptr[c]:indptr[c + 1]`` of
+    ``sizes`` (its distinct flow sizes, ascending) and ``mults`` (how
+    many of its flows have each size).  ``flows[c]`` is its flow count
+    and ``log_fact[c]`` is ``sum(log(mult!))``, the multiset term of
+    its Poisson prior.  Tables are shared through the process-wide
+    cache, so the arrays are read-only.
+    """
+
+    sizes: np.ndarray
+    mults: np.ndarray
+    indptr: np.ndarray
+    flows: np.ndarray
+    log_fact: np.ndarray
+
+    @property
+    def num_combos(self) -> int:
+        return int(self.indptr.shape[0]) - 1
+
+    def combinations(self) -> Tuple[Combination, ...]:
+        """The table as ``(sizes, multiplicities)`` tuple pairs."""
+        sizes = self.sizes.tolist()
+        mults = self.mults.tolist()
+        bounds = self.indptr.tolist()
+        return tuple((tuple(sizes[a:b]), tuple(mults[a:b]))
+                     for a, b in zip(bounds, bounds[1:]))
+
+
+@lru_cache(maxsize=None)
+def combination_table(value: int, degree: int, min_path: int,
+                      max_flows: int) -> CombinationTable:
+    """All feasible flow-size combinations for a virtual counter.
+
+    Args:
+        value: the virtual counter value ``V``.
+        degree: number of merged paths ``xi``.
+        min_path: minimum per-path flow sum (``theta_1 + 1`` for
+            counters merged above stage 1, else 1).
+        max_flows: truncation on the number of colliding flows.
+
+    Returns:
+        The combinations as one flat, read-only
+        :class:`CombinationTable`, built once per process.
+    """
+    combos = list(_combinations(value, degree, min_path, max_flows))
+    lengths = np.fromiter((len(sizes) for sizes, _ in combos),
+                          dtype=np.int64, count=len(combos))
+    indptr = np.zeros(len(combos) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=indptr[1:])
+    entries = int(indptr[-1])
+    sizes = np.fromiter(chain.from_iterable(s for s, _ in combos),
+                        dtype=np.int32, count=entries)
+    mults = np.fromiter(chain.from_iterable(m for _, m in combos),
+                        dtype=np.int32, count=entries)
+    if combos:
+        flows = np.add.reduceat(mults, indptr[:-1])
+        log_fact = np.add.reduceat(gammaln(mults + 1.0), indptr[:-1])
+    else:
+        flows = np.zeros(0, dtype=np.int32)
+        log_fact = np.zeros(0, dtype=np.float64)
+    for array in (sizes, mults, indptr, flows, log_fact):
+        array.setflags(write=False)
+    return CombinationTable(sizes, mults, indptr, flows, log_fact)
+
+
+def enumerate_combinations(value: int, degree: int, min_path: int,
+                           max_flows: int) -> Tuple[Combination, ...]:
+    """:func:`combination_table` as ``(sizes, multiplicities)`` pairs,
+    where ``sizes`` are the distinct flow sizes in the multiset.
+
+    The view shares the table cache, whose statistics
+    ``enumerate_combinations.cache_info()`` reports.
+    """
+    return combination_table(value, degree, min_path,
+                             max_flows).combinations()
+
+
+enumerate_combinations.cache_info = combination_table.cache_info
+enumerate_combinations.cache_clear = combination_table.cache_clear
 
 
 # ----------------------------------------------------------------------
@@ -316,56 +389,14 @@ class EMResult:
 # per-group precomputation
 # ----------------------------------------------------------------------
 
-class _Group:
-    """All virtual counters sharing (value, degree): one E-step unit."""
+class _Group(NamedTuple):
+    """All virtual counters of one tree sharing (value, degree): one
+    posterior, counted ``multiplicity`` times in the E-step."""
 
-    __slots__ = ("value", "degree", "multiplicity", "sizes", "mults",
-                 "combo_ids", "num_combos", "log_fact")
-
-    def __init__(self, value: int, degree: int, multiplicity: int,
-                 combos: Sequence[Combination]):
-        self.value = value
-        self.degree = degree
-        self.multiplicity = multiplicity
-        sizes: List[int] = []
-        mults: List[int] = []
-        ids: List[int] = []
-        for cid, (c_sizes, c_mults) in enumerate(combos):
-            sizes.extend(c_sizes)
-            mults.extend(c_mults)
-            ids.extend([cid] * len(c_sizes))
-        self.sizes = np.array(sizes, dtype=np.int64)
-        self.mults = np.array(mults, dtype=np.float64)
-        self.combo_ids = np.array(ids, dtype=np.int64)
-        self.num_combos = len(combos)
-        self.log_fact = np.zeros(self.num_combos, dtype=np.float64)
-        np.add.at(self.log_fact, self.combo_ids, gammaln(self.mults + 1.0))
-
-    def contribute(self, log_n: np.ndarray, log_rate: float,
-                   out: np.ndarray) -> None:
-        """Add this group's posterior-expected flow counts into ``out``.
-
-        Args:
-            log_n: ``log(n_j)`` dense over sizes (``-inf`` where 0).
-            log_rate: ``log(degree / w1)``, the per-flow rate factor.
-            out: accumulator, ``out[j] += E[#size-j flows]``.
-        """
-        if self.num_combos == 0:
-            return
-        term = self.mults * (log_n[self.sizes] + log_rate)
-        log_w = np.zeros(self.num_combos, dtype=np.float64)
-        np.add.at(log_w, self.combo_ids, term)
-        log_w -= self.log_fact
-        peak = log_w.max()
-        if not np.isfinite(peak):
-            # No combination has support under the current estimate;
-            # fall back to a uniform posterior to keep EM moving.
-            weights = np.full(self.num_combos, 1.0 / self.num_combos)
-        else:
-            weights = np.exp(log_w - peak)
-            weights /= weights.sum()
-        np.add.at(out, self.sizes,
-                  self.multiplicity * weights[self.combo_ids] * self.mults)
+    value: int
+    degree: int
+    multiplicity: int
+    table: CombinationTable
 
 
 class _null_context:
@@ -439,51 +470,73 @@ class EMEstimator:
         self._failed_over = False
 
     def _prepare_tree(self, array: VirtualCounterArray) -> _TreeWork:
+        """Group one tree's counters and look up each group's table.
+
+        Counters sharing ``(value, degree, stage > 1)`` share their
+        ``min_path`` and so their combination set: one ``np.unique``
+        finds the distinct keys, and each is looked up once.  Keys
+        without a feasible enumerated combination (the heavy tier, or
+        an infeasible truncation) go to the deterministic vector.
+        """
         cfg = self.config
         self.prepare_calls += 1
-        grouped: Dict[Tuple[int, int], int] = {}
-        deterministic = np.zeros(self._size, dtype=np.float64)
-        for value, degree, stage in zip(array.values, array.degrees,
-                                        array.stages):
-            value, degree, stage = int(value), int(degree), int(stage)
-            min_path = array.min_path_count(stage)
-            max_flows = cfg.max_flows_for(value, degree)
-            combos = (enumerate_combinations(value, degree, min_path,
-                                             max_flows)
-                      if max_flows else ())
-            if combos:
-                key = (value, degree)
-                grouped[key] = grouped.get(key, 0) + 1
-            else:
-                self._add_deterministic(deterministic, value, degree,
-                                        min_path)
+        live = array.values > 0
+        values = array.values[live]
+        degrees = array.degrees[live]
+        late = (array.stages[live] > 1).astype(np.int64)
+        span = int(degrees.max()) + 1 if degrees.size else 1
+        codes, counts = np.unique((values * span + degrees) * 2 + late,
+                                  return_counts=True)
+        key_late = codes & 1
+        key_values, key_degrees = np.divmod(codes >> 1, span)
+        # VirtualCounterArray.min_path_count, per key.
+        key_min_paths = np.where(key_late == 1, array.thetas[0] + 1, 1)
+
         groups = []
-        for (value, degree), mult in sorted(grouped.items()):
-            min_path = 1 if degree == 1 else array.thetas[0] + 1
+        heavy = np.ones(codes.shape[0], dtype=bool)
+        for i, (value, degree, min_path, count) in enumerate(zip(
+                key_values.tolist(), key_degrees.tolist(),
+                key_min_paths.tolist(), counts.tolist())):
             max_flows = cfg.max_flows_for(value, degree)
-            combos = enumerate_combinations(value, degree, min_path,
-                                            max_flows)
-            groups.append(_Group(value, degree, mult, combos))
+            if not max_flows:
+                continue
+            table = combination_table(value, degree, min_path, max_flows)
+            if table.num_combos:
+                heavy[i] = False
+                groups.append(_Group(value, degree, count, table))
+        deterministic = np.zeros(self._size, dtype=np.float64)
+        self._add_deterministic(deterministic, key_values[heavy],
+                                key_degrees[heavy], key_min_paths[heavy],
+                                counts[heavy])
         return _TreeWork(leaf_width=array.leaf_width, groups=groups,
                          deterministic=deterministic)
 
     @staticmethod
-    def _add_deterministic(out: np.ndarray, value: int, degree: int,
-                           min_path: int) -> None:
-        """Heavy-counter fallback: one elephant plus minimal mice."""
-        if value <= 0:
-            return
-        mice = max(degree - 1, 0)
+    def _add_deterministic(out: np.ndarray, value, degree, min_path,
+                           count=1) -> None:
+        """Heavy-counter fallback: one elephant plus minimal mice.
+
+        Vectorized over counters: ``count`` counters of each
+        ``(value, degree, min_path)`` are added to ``out``.
+        """
+        value, degree, min_path, count = (
+            np.atleast_1d(np.asarray(x, dtype=np.int64))
+            for x in np.broadcast_arrays(value, degree, min_path, count))
+        keep = value > 0
+        value, degree, min_path, count = (
+            value[keep], degree[keep], min_path[keep], count[keep])
+        top = out.shape[0] - 1
+        mice = np.maximum(degree - 1, 0)
         elephant = value - mice * min_path
-        if elephant <= 0:
-            # Cannot even fit the minimal mice; treat as `degree` equal
-            # flows (degenerate but total-preserving).
-            share = max(value // max(degree, 1), 1)
-            out[min(share, out.shape[0] - 1)] += degree
-            return
-        if mice:
-            out[min(min_path, out.shape[0] - 1)] += mice
-        out[min(elephant, out.shape[0] - 1)] += 1
+        fits = elephant > 0
+        # A counter that cannot even fit its minimal mice is read as
+        # ``degree`` equal flows (degenerate but total-preserving).
+        share = np.maximum(value // np.maximum(degree, 1), 1)
+        with_mice = fits & (mice > 0)
+        np.add.at(out, np.minimum(np.where(fits, elephant, share), top),
+                  np.where(fits, 1, degree) * count)
+        np.add.at(out, np.minimum(min_path[with_mice], top),
+                  (mice * count)[with_mice])
 
     # ------------------------------------------------------------------
 
@@ -502,12 +555,14 @@ class EMEstimator:
             self.initial_guess_builds += 1
             n0 = np.zeros(self._size, dtype=np.float64)
             for array in self.arrays:
-                for value, degree in zip(array.values, array.degrees):
-                    value, degree = int(value), int(degree)
-                    if value <= 0:
-                        continue
-                    share = max(1, int(round(value / degree)))
-                    n0[min(share, self._size - 1)] += degree
+                live = array.values > 0
+                values = array.values[live]
+                degrees = array.degrees[live]
+                # np.rint rounds half to even, as Python's round().
+                share = np.maximum(np.rint(values / degrees), 1)
+                n0 += np.bincount(
+                    np.minimum(share.astype(np.int64), self._size - 1),
+                    weights=degrees, minlength=self._size)
             n0 /= len(self.arrays)
             floor_top = min(self.config.exact_threshold + 1, self._size)
             n0[1:floor_top] += self.config.epsilon

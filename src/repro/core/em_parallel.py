@@ -10,7 +10,9 @@ machinery introduced for sharded ingest (:mod:`repro.engine.pool`):
 * The estimator splits each tree's value/degree groups into
   :class:`EMUnit` work units — all groups of one tree with one merge
   degree, chunked so a degree-1-heavy sketch still yields enough
-  units to busy every worker.
+  units to busy every worker.  Each unit packs its groups'
+  combination tables once into a sparse combinations × sizes matrix,
+  so :func:`unit_partial` is a few whole-unit numpy passes.
 * :class:`EMWorkerPool` spawns long-lived workers once per estimator.
   Each iteration broadcasts ``log(n_j)`` through a shared-memory
   input slab, workers write each unit's partial histogram into its
@@ -38,7 +40,7 @@ from __future__ import annotations
 import math
 import queue as queue_mod
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -65,6 +67,14 @@ class EMUnit:
     All value-groups of one tree sharing one merge degree (or a chunk
     of them).  ``index`` is the unit's position in the canonical
     reduction order: ascending (tree, degree, chunk).
+
+    ``groups`` keeps the per-group records; the kernel reads only the
+    flat arrays built from them once per estimator.  Row ``c`` of
+    ``matrix`` is the unit's ``c``-th combination over flow sizes,
+    holding how many of its flows have each size; ``offset[c]`` is
+    the size-independent part of its log prior; group ``g`` owns the
+    ``counts[g]`` rows from ``starts[g]`` on and stands for
+    ``scale[g]`` counters.
     """
 
     index: int
@@ -73,6 +83,46 @@ class EMUnit:
     chunk: int
     leaf_width: int
     groups: List  # List[_Group]; untyped to avoid a circular import
+    matrix: "scipy.sparse.csr_matrix" = field(repr=False)
+    offset: np.ndarray = field(repr=False)
+    starts: np.ndarray = field(repr=False)
+    counts: np.ndarray = field(repr=False)
+    scale: np.ndarray = field(repr=False)
+
+
+def _make_unit(index: int, tree: int, degree: int, chunk: int,
+               leaf_width: int, groups: Sequence) -> EMUnit:
+    """Concatenate the groups' combination tables into one unit.
+
+    The Poisson prior of a combination with ``m_j`` flows of size
+    ``j`` is, up to a per-counter constant,
+    ``sum_j m_j * (log n_j + log_rate) - sum_j log(m_j!)``; all but
+    ``sum_j m_j * log n_j`` is fixed for the estimator's lifetime.
+    """
+    # Imported here: only EM needs scipy.sparse, and every importer of
+    # the package would otherwise pay for it at start-up.
+    from scipy.sparse import csr_matrix
+
+    tables = [group.table for group in groups]
+    counts = np.array([t.num_combos for t in tables], dtype=np.int64)
+    starts = np.zeros_like(counts)
+    np.cumsum(counts[:-1], out=starts[1:])
+    indptr = np.zeros(int(counts.sum()) + 1, dtype=np.int64)
+    np.cumsum(np.concatenate([np.diff(t.indptr) for t in tables]),
+              out=indptr[1:])
+    sizes = np.concatenate([t.sizes for t in tables])
+    mults = np.concatenate([t.mults for t in tables]).astype(_FLOAT)
+    matrix = csr_matrix((mults, sizes, indptr),
+                       shape=(indptr.shape[0] - 1, int(sizes.max()) + 1))
+    log_rate = math.log(degree / leaf_width)
+    offset = (log_rate * np.concatenate([t.flows for t in tables])
+              - np.concatenate([t.log_fact for t in tables]))
+    return EMUnit(index=index, tree=tree, degree=degree, chunk=chunk,
+                  leaf_width=leaf_width, groups=list(groups),
+                  matrix=matrix, offset=offset, starts=starts,
+                  counts=counts,
+                  scale=np.array([g.multiplicity for g in groups],
+                                 dtype=_FLOAT))
 
 
 def build_units(works: Sequence, *,
@@ -96,10 +146,9 @@ def build_units(works: Sequence, *,
             groups = by_degree[degree]
             for chunk, start in enumerate(range(0, len(groups),
                                                 chunk_groups)):
-                units.append(EMUnit(
-                    index=len(units), tree=tree_idx, degree=degree,
-                    chunk=chunk, leaf_width=work.leaf_width,
-                    groups=groups[start:start + chunk_groups]))
+                units.append(_make_unit(
+                    len(units), tree_idx, degree, chunk, work.leaf_width,
+                    groups[start:start + chunk_groups]))
     return units
 
 
@@ -107,13 +156,24 @@ def unit_partial(unit: EMUnit, log_n: np.ndarray,
                  size: int) -> np.ndarray:
     """One unit's partial response histogram (pure in ``log_n``).
 
-    Runs identically inline and in a worker process: a fresh zero
-    vector, groups accumulated in stored (value-sorted) order.
+    Runs identically inline and in a worker process: the log prior of
+    every combination in one sparse product, a per-group softmax, and
+    the posterior-expected flow counts in one transposed product.
     """
+    width = unit.matrix.shape[1]
+    log_w = unit.matrix @ log_n[:width] + unit.offset
+    peak = np.maximum.reduceat(log_w, unit.starts)
+    dead = ~np.isfinite(peak)
+    if dead.any():
+        # No combination of the group has support under the current
+        # estimate; fall back to a uniform posterior to keep EM moving.
+        peak[dead] = 0.0
+        log_w[np.repeat(dead, unit.counts)] = 0.0
+    weights = np.exp(log_w - np.repeat(peak, unit.counts))
+    weights *= np.repeat(unit.scale / np.add.reduceat(weights, unit.starts),
+                         unit.counts)
     out = np.zeros(size, dtype=_FLOAT)
-    log_rate = math.log(unit.degree / unit.leaf_width)
-    for group in unit.groups:
-        group.contribute(log_n, log_rate, out)
+    out[:width] = unit.matrix.T @ weights
     return out
 
 

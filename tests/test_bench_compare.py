@@ -17,17 +17,22 @@ sys.path.insert(0, str(pathlib.Path(__file__).parent.parent))
 
 from benchmarks.baseline import (  # noqa: E402
     DEFAULT_TOLERANCES,
+    GATE_NO_CROSSOVER,
     GATE_OK,
     GATE_SKIPPED,
+    PARALLEL_MIN_CPUS,
     append_trajectory,
     compare_records,
     flatten_metrics,
     load_tolerances,
     main,
+    measure_em_parallel,
     tolerance_for,
     trajectory_entry,
     validate_record,
 )
+from repro.engine import usable_cpus  # noqa: E402
+from repro.traffic.caida_like import caida_like_trace  # noqa: E402
 
 
 def make_parallel_section(packets=2_000, ingest_pps=1e6, gate="ok",
@@ -391,6 +396,29 @@ class TestCompareRecords:
         assert not any("inline response step" in r
                        for r in result["regressions"])
 
+    def test_em_floor_fires_at_one_when_gate_ok(self):
+        """Where the EM floor binds — a section whose gate is ok — a
+        pool merely as fast as serial already regresses."""
+        base = make_record()
+        fresh = make_record(em_parallel=dict(speedup_vs_serial=1.0))
+        result = compare_records(base, fresh, DEFAULT_TOLERANCES)
+        assert any(r.startswith("em_parallel.speedup_vs_serial")
+                   and "lost to the inline response step" in r
+                   for r in result["regressions"])
+
+    def test_em_floor_skipped_without_crossover(self):
+        """Without a measured crossover the marker is explicit: the
+        row says so and neither the floor nor the relative bound
+        fires."""
+        base = make_record(em_parallel=dict(gate=GATE_NO_CROSSOVER))
+        fresh = make_record(em_parallel=dict(gate=GATE_NO_CROSSOVER,
+                                             speedup_vs_serial=0.5))
+        result = compare_records(base, fresh, DEFAULT_TOLERANCES)
+        (row,) = [r for r in result["rows"]
+                  if r[0] == "em_parallel.speedup_vs_serial"]
+        assert row[-1].startswith(GATE_NO_CROSSOVER)
+        assert result["regressions"] == []
+
     def test_warm_start_savings_drop_beyond_tolerance_regresses(self):
         base = make_record(em_warm_start=dict(iterations_saved=6))
         fresh = make_record(em_warm_start=dict(iterations_saved=1,
@@ -480,6 +508,10 @@ class TestSyntheticRecordIsValid:
             make_record(em_parallel=dict(identical=False)))
         assert any("em_parallel.identical" in e for e in errors)
 
+    def test_em_parallel_no_crossover_gate_validates(self):
+        record = make_record(em_parallel=dict(gate=GATE_NO_CROSSOVER))
+        assert validate_record(record) == []
+
     def test_em_parallel_missing_gate_is_invalid(self):
         record = make_record()
         del record["em_parallel"]["gate"]
@@ -550,6 +582,16 @@ def test_main_compare_exits_2_on_regression(tmp_path, capsys):
     # The trajectory records the failed run too.
     history = json.loads(traj_path.read_text())
     assert history[0]["regressions"]
+
+
+def test_em_parallel_gate_is_an_explicit_skip():
+    """A measured EM section never gates, and says why."""
+    section = measure_em_parallel(
+        caida_like_trace(num_packets=2_000, seed=1).keys, 1)
+    assert section["identical"]
+    assert section["gate"] == (GATE_NO_CROSSOVER
+                               if usable_cpus() >= PARALLEL_MIN_CPUS
+                               else GATE_SKIPPED)
 
 
 def test_main_compare_rejects_invalid_baseline(tmp_path, capsys):

@@ -144,6 +144,19 @@ class TestEnumerationProperties:
                 assert _can_cover(tuple(sorted(flat, reverse=True)),
                                   degree, min_path)
 
+    @given(value=st.integers(1, 40), max_parts=st.integers(1, 5))
+    @settings(max_examples=60, deadline=None)
+    def test_partitions_complete(self, value, max_parts):
+        # p(n, k): partitions of n into at most k parts.
+        count = [[1] * (max_parts + 1)] + [[0] * (max_parts + 1)
+                                          for _ in range(value)]
+        for n in range(1, value + 1):
+            for k in range(1, max_parts + 1):
+                count[n][k] = count[n][k - 1] + (
+                    count[n - k][k] if n >= k else 0)
+        assert len(list(_partitions(value, max_parts))) == \
+            count[value][max_parts]
+
     @given(parts=st.lists(st.integers(1, 10), min_size=1, max_size=6),
            groups=st.integers(1, 3), minimum=st.integers(1, 6))
     @settings(max_examples=80, deadline=None)
