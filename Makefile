@@ -32,19 +32,24 @@ test-batch-equivalence:
 		tests/test_differential.py tests/test_batching_properties.py \
 		-q -m "not chaos" --hypothesis-seed=0
 
-# Parallel + incremental EM: the differential suite (serial vs pool
-# bit-identity across worker counts, chaos failover), the warm-start
-# property suite (perturbed-epoch closeness, identical-epoch
-# non-inferiority, degenerate-seed rejection) and the vectorized
-# E-step's differential suite (sparse unit kernel, grouped
-# preparation and bincount initial guess against the per-group
-# reference).  Pinned hash + hypothesis seeds keep failures
-# reproducible; the timeout turns a wedged worker pool into a failure
-# instead of a stuck job.
+# Parallel + incremental EM and the worker core under both pools: the
+# EM differential suite (serial vs pool bit-identity across worker
+# counts, chaos failover), the warm-start property suite
+# (perturbed-epoch closeness, identical-epoch non-inferiority,
+# degenerate-seed rejection), the vectorized E-step's differential
+# suite (sparse unit kernel, grouped preparation and bincount initial
+# guess against the per-group reference), and the ingest pool and
+# backend suites (serial byte identity at 1-4 workers and three batch
+# sizes, no process left after close, the ingest SIGKILL failover).
+# The EM and ingest pools share one worker core, so a change to it
+# runs both SIGKILL failover tests here.  Pinned hash + hypothesis
+# seeds keep failures reproducible; the timeout turns a wedged worker
+# pool into a failure instead of a stuck job.
 test-em-parallel:
 	PYTHONHASHSEED=0 timeout 600 $(PYTHON) -m pytest \
 		tests/test_em_parallel.py tests/test_em_warmstart_properties.py \
-		tests/test_em_vectorized.py -q --hypothesis-seed=0
+		tests/test_em_vectorized.py tests/test_pool.py \
+		tests/test_backends.py -q --hypothesis-seed=0
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
@@ -69,10 +74,10 @@ bench-compare:
 	PYTHONHASHSEED=0 $(PYTHON) -m benchmarks.baseline --compare \
 		--tolerances benchmarks/tolerances_ci.json
 
-# Sharded-ingest smoke: serial vs 4-shard parallel ingest over the
-# engine's codec transport.  Fails when the sharded result diverges
-# from serial or the speedup over the per-packet reference drops
-# below the 2x acceptance bound.
+# Pool-ingest smoke: serial vs a 4-worker PersistentShardPool, whose
+# shards come back as codec bytes at seal.  Fails when the pool result
+# diverges from serial or the speedup over the per-packet reference
+# drops below the 2x acceptance bound.
 bench-parallel:
 	PYTHONHASHSEED=0 $(PYTHON) -m benchmarks.baseline --parallel \
 		--packets 200000 --repeats 2 --shards 4

@@ -252,7 +252,7 @@ def measure_telemetry_overhead(keys: np.ndarray, repeats: int) -> dict:
 
 
 def _parallel_factory() -> FCMSketch:
-    """Engine replica builder (module-level so workers can pickle it)."""
+    """Pool replica builder (every shard identically seeded)."""
     return FCMSketch.with_memory(MEMORY, seed=1)
 
 
@@ -264,6 +264,10 @@ PACKET_LOOP_FRACTION = 50
 #: CAIDA windows of this order): 20M packets at caida_like's mean
 #: flow size of ~40 packets gives ~0.5M distinct flows.
 PAPER_PACKETS = 20_000_000
+
+#: Keys per pool publish: the pool deals each batch's slab to one
+#: worker, so one publish of a short trace would keep one worker busy.
+PARALLEL_BATCH = 32_768
 
 #: Minimum usable cores for the speedup gate to be meaningful; below
 #: this the section carries an explicit ``gate: skipped`` marker.
@@ -292,9 +296,11 @@ def measure_parallel(keys: np.ndarray, num_flows: int, repeats: int,
       plane executes it, the reference the ``speedup_vs_packet_loop``
       acceptance criterion is measured against,
     * *sharded*: :class:`PersistentShardPool` — persistent workers
-      over a shared-memory slab ring, hash-partitioned shard-local
-      sketches, one codec merge at seal.  The pool outlives the
-      repeats, so worker spawn cost is paid once and best-of timing
+      over a shared slab ring, each slab dealt to one worker's
+      shard-local sketch, one codec merge at seal.  The trace is
+      published in :data:`PARALLEL_BATCH`-key batches, as the epoch
+      runtime feeds it, so every worker gets slabs.  The pool outlives
+      the repeats, so worker start-up is paid once and best-of timing
       measures the steady state, exactly like an epoch pipeline.
 
     ``cpus`` records the cores this process may actually run on
@@ -334,7 +340,8 @@ def measure_parallel(keys: np.ndarray, num_flows: int, repeats: int,
         merge_s = 0.0
         for _ in range(repeats):
             start = time.perf_counter()
-            pool.publish(keys)
+            for offset in range(0, keys.shape[0], PARALLEL_BATCH):
+                pool.publish(keys[offset:offset + PARALLEL_BATCH])
             merged = pool.seal(0)
             elapsed = time.perf_counter() - start
             if elapsed < sharded_s:

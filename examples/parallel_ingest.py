@@ -9,20 +9,20 @@ Demonstrates the pieces the engine layer adds:
 2. the unified :class:`~repro.engine.IngestBackend` API — one
    ``make_backend("kind[:shards]")`` spec builds every ingest path,
 3. :class:`~repro.engine.PersistentShardPool` (the ``pool`` backend) —
-   persistent workers over a shared-memory slab ring, hash-partitioned
-   shards, one merge per epoch seal; byte-identical to serial,
-4. :class:`~repro.engine.ShardedIngestEngine` — the per-batch
-   fan-out/reduce loop beneath the ``sharded``/``process`` backends,
-5. :class:`~repro.controlplane.ParallelSketchCollector` — the same
+   persistent workers over a shared slab ring, each slab dealt to one
+   worker's shard, one merge per epoch seal; byte-identical to serial,
+4. :class:`~repro.controlplane.ParallelSketchCollector` — the same
    codec bytes as the drain transport of the network-wide collector.
 
 Run:  python examples/parallel_ingest.py
 """
 
+import time
+
 from repro import FCMSketch, caida_like_trace
 from repro.controlplane import ParallelSketchCollector
 from repro.engine import (
-    ShardedIngestEngine,
+    PersistentShardPool,
     make_backend,
     peek_kind,
     usable_cpus,
@@ -36,7 +36,7 @@ MEMORY = 64 * 1024
 
 
 def make_sketch() -> FCMSketch:
-    """Replica factory: module-level so worker processes can pickle it."""
+    """Replica factory: every shard must be identically seeded."""
     return FCMSketch.with_memory(MEMORY, seed=1)
 
 
@@ -52,30 +52,29 @@ def main() -> None:
     print(f"serial:   {serial.total_packets} packets, "
           f"state codec = {len(blob):,} bytes (kind {peek_kind(blob)!r})")
 
-    # --- the same stream, sharded over 4 workers ---------------------
-    with ShardedIngestEngine(make_sketch, num_shards=4) as engine:
-        merged = engine.ingest(trace.keys)
-    stats = engine.last_stats
-    print(f"sharded:  {stats.shards} shards x "
-          f"{stats.batches // stats.shards}+ batches ({stats.mode}), "
-          f"{stats.pps:,.0f} pps")
-    print(f"byte-identical to serial: {merged.to_state() == blob}")
-
     # --- the persistent pool behind the unified backend API ----------
-    # Workers spawn once and survive epoch seals; batches land in a
-    # shared-memory slab ring, each worker ingests its hash-partition
-    # in place, and the per-epoch seal is the only merge.
+    # Workers fork once and survive epoch seals; batches land in a
+    # shared slab ring, each slab is dealt to one worker's shard, and
+    # the per-epoch seal is the only merge.
+    start = time.perf_counter()
     with make_backend("pool:2", sketch_factory=make_sketch) as backend:
-        for start in range(0, trace.keys.shape[0], 65_536):
-            backend.ingest_batch(trace.keys[start:start + 65_536])
-        sealed = backend.seal(epoch=0)
-    print(f"pool:     {backend.describe()['shards']} persistent shards "
-          f"on {usable_cpus()} usable cpu(s), "
-          f"sealed byte-identical: {sealed == blob}")
+        for epoch in range(2):
+            for offset in range(0, trace.keys.shape[0], 65_536):
+                backend.ingest_batch(trace.keys[offset:offset + 65_536])
+            sealed = backend.seal(epoch=epoch)
+            assert sealed == blob, "pool seal diverged from serial"
+            print(f"pool:     epoch {epoch} sealed byte-identical: "
+                  f"{sealed == blob}")
+        info = backend.describe()
+    elapsed = time.perf_counter() - start
+    print(f"pool:     {info['shards']} persistent shards on "
+          f"{usable_cpus()} usable cpu(s), "
+          f"{info['pool']['published_batches']} slabs dealt, "
+          f"{2 * len(trace) / elapsed:,.0f} pps")
 
     # --- the protocol is explicit about what cannot shard ------------
     try:
-        ShardedIngestEngine(lambda: CUSketch(MEMORY, seed=1))
+        PersistentShardPool(lambda: CUSketch(MEMORY, seed=1))
     except SketchCompatibilityError as err:
         print(f"CU refused: {err}")
 

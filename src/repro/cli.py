@@ -220,24 +220,8 @@ def cmd_compare(args) -> int:
 
 
 def _stream_sketch(memory_bytes: int, seed: int) -> FCMSketch:
-    """Module-level epoch-sketch factory (picklable for ``process``)."""
+    """Epoch-sketch factory for the stream, serve and obs commands."""
     return FCMSketch.with_memory(memory_bytes, seed=seed)
-
-
-def _backend_spec(args) -> str:
-    """Resolve the backend spec, folding in the deprecated --shards."""
-    spec = args.backend
-    shards = getattr(args, "shards", None)
-    if shards is not None:
-        import warnings
-
-        warnings.warn(
-            "--shards is deprecated; encode the shard count in the "
-            "backend spec instead, e.g. --backend process:4",
-            DeprecationWarning, stacklevel=2)
-        if ":" not in spec:
-            spec = f"{spec}:{shards}"
-    return spec
 
 
 def cmd_stream(args) -> int:
@@ -255,7 +239,7 @@ def cmd_stream(args) -> int:
     manager = EpochManager(
         functools.partial(_stream_sketch, args.memory_kb * 1024,
                           args.seed),
-        config=config, backend=_backend_spec(args),
+        config=config, backend=args.backend,
         telemetry=telemetry,
     )
     print(f"workload: {len(trace)} packets, {trace.num_flows} flows "
@@ -573,11 +557,7 @@ def build_parser() -> argparse.ArgumentParser:
                                "print iterations saved per epoch")
     p_stream.add_argument("--backend", default="inline",
                           help="ingest backend spec 'kind[:shards]': "
-                               "inline, sharded, process, or pool "
-                               "(e.g. pool:4)")
-    p_stream.add_argument("--shards", type=int, default=None,
-                          help="deprecated; encode the shard count in "
-                               "--backend instead (e.g. process:4)")
+                               "inline or pool (e.g. pool:4)")
     p_stream.set_defaults(func=cmd_stream)
 
     p_serve = sub.add_parser(
@@ -615,7 +595,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "step (slow-consumer simulation)")
     p_serve.add_argument("--backend", default="inline",
                          help="ingest backend spec 'kind[:shards]': "
-                              "inline, sharded, process, or pool")
+                              "inline or pool (e.g. pool:4)")
     p_serve.set_defaults(func=cmd_serve)
 
     p_obs = sub.add_parser(

@@ -4,8 +4,8 @@ The paper runs EM on a 64-core Xeon by exploiting the natural
 independence inside one iteration's response step: every virtual
 counter's posterior depends only on the *previous* estimate ``n_j``,
 so the per-counter contributions can be computed in any partition.
-This module carries that decomposition onto the persistent-worker
-machinery introduced for sharded ingest (:mod:`repro.engine.pool`):
+This module carries that decomposition onto the worker core it
+shares with shard ingest (:mod:`repro.engine.workers`):
 
 * The estimator splits each tree's value/degree groups into
   :class:`EMUnit` work units — all groups of one tree with one merge
@@ -13,11 +13,11 @@ machinery introduced for sharded ingest (:mod:`repro.engine.pool`):
   units to busy every worker.  Each unit packs its groups'
   combination tables once into a sparse combinations × sizes matrix,
   so :func:`unit_partial` is a few whole-unit numpy passes.
-* :class:`EMWorkerPool` spawns long-lived workers once per estimator.
-  Each iteration broadcasts ``log(n_j)`` through a shared-memory
-  input slab, workers write each unit's partial histogram into its
-  own float64 row of a shared-memory contribution slab, and the
-  coordinator reduces the rows **in canonical unit order**.
+* :class:`EMWorkerPool` forks long-lived workers once per estimator.
+  Each iteration broadcasts ``log(n_j)`` through a shared input
+  array, workers write each unit's partial histogram into its own
+  float64 row of a shared contribution array, and the coordinator
+  reduces the rows **in canonical unit order**.
 
 Bit-exactness contract: a unit's partial is a pure function of
 ``log_n`` (same numpy ops, same dtypes, same accumulation order
@@ -38,26 +38,21 @@ the run completes with the exact same result, only slower.
 from __future__ import annotations
 
 import math
-import queue as queue_mod
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
-from repro.engine.pool import attach_untracked, usable_cpus  # noqa: F401
-from repro.errors import WorkerPoolError
+from repro.engine.workers import WorkerGroup, shared_array
 
-__all__ = ["EMUnit", "EMWorkerPool", "build_units", "unit_partial",
-           "usable_cpus"]
+__all__ = ["EMUnit", "EMWorkerPool", "build_units", "unit_partial"]
 
 #: Groups per work unit: large degree-1 populations are chunked so a
 #: single-degree sketch still fans out across all workers.
 DEFAULT_CHUNK_GROUPS = 64
 
 _FLOAT = np.float64
-_FLOAT_BYTES = 8
-_POLL_SECONDS = 0.2
 
 
 @dataclass
@@ -177,250 +172,117 @@ def unit_partial(unit: EMUnit, log_n: np.ndarray,
     return out
 
 
-def _em_worker(worker_id: int, assigned: List[Tuple[int, EMUnit]],
-               in_name: str, out_name: str, size: int, num_units: int,
-               cmd_q, ack_q) -> None:
-    """Worker main loop: attach slabs, fill assigned unit rows, ack.
+class _UnitWorker:
+    """One worker's handler: fill its units' rows for one iteration.
 
-    Commands (FIFO): ``("iter", seq)`` — read the freshly broadcast
-    ``log(n_j)`` from the input slab, write each assigned unit's
-    partial into its row of the contribution slab, ack with ``seq``;
-    ``("stop",)`` — exit cleanly.
+    ``("iter", seq)`` reads the freshly broadcast ``log(n_j)``, writes
+    each assigned unit's partial into its row of the shared
+    contribution array, and replies ``seq``.
     """
-    in_shm = attach_untracked(in_name)
-    out_shm = attach_untracked(out_name)
-    log_n = np.ndarray((size,), dtype=_FLOAT, buffer=in_shm.buf)
-    rows = np.ndarray((num_units, size), dtype=_FLOAT, buffer=out_shm.buf)
-    try:
-        while True:
-            msg = cmd_q.get()
-            if msg[0] == "stop":
-                break
-            seq = msg[1]
-            try:
-                for index, unit in assigned:
-                    rows[index] = unit_partial(unit, log_n, size)
-                ack_q.put(("done", worker_id, seq, None))
-            except Exception as exc:  # pragma: no cover - worker path
-                ack_q.put(("error", worker_id, seq,
-                           f"{type(exc).__name__}: {exc}"))
-    finally:
-        del log_n, rows
-        for shm in (in_shm, out_shm):
-            try:
-                shm.close()
-            except BufferError:  # pragma: no cover - view still live
-                pass
+
+    def __init__(self, assigned: List[EMUnit], log_n: np.ndarray,
+                 rows: np.ndarray):
+        self.assigned = assigned
+        self.log_n = log_n
+        self.rows = rows
+
+    def __call__(self, msg) -> int:
+        size = self.rows.shape[1]
+        for unit in self.assigned:
+            self.rows[unit.index] = unit_partial(unit, self.log_n, size)
+        return msg[1]
 
 
 class EMWorkerPool:
-    """Persistent EM response-step workers over shared-memory slabs.
+    """Persistent EM response-step workers over shared arrays.
 
     Args:
         units: canonical unit list from :func:`build_units`; unit
-            ``i`` owns row ``i`` of the contribution slab.
+            ``i`` owns row ``i`` of the contribution array.
         size: dense histogram length (``max_value + 1``).
         num_workers: worker process count (units are assigned
             round-robin, so worker loads interleave degree tiers).
-        timeout: seconds to wait for an iteration's acks before
+        timeout: seconds to wait for an iteration's replies before
             declaring the pool wedged (:class:`WorkerPoolError`).
-        mp_context: ``multiprocessing`` start-method name or context
-            (default: platform default, ``fork`` on Linux).
         telemetry: optional registry; gauges worker count and the
             per-iteration fan-out latency.
         name: metric name prefix.
 
-    Workers and slabs exist from construction until :meth:`close`
-    (or :meth:`terminate` on the failover path); iterations reuse
-    them, so the spawn/pickle cost of shipping the prepared groups is
-    paid once per estimator, not once per iteration.
+    Workers exist from construction until :meth:`close` (or
+    :meth:`terminate` on the failover path); iterations reuse them, so
+    the prepared units reach the workers once, at fork, not once per
+    iteration.
     """
 
     def __init__(self, units: Sequence[EMUnit], size: int,
                  num_workers: int, *, timeout: float = 60.0,
-                 mp_context=None, telemetry=None,
-                 name: str = "em.parallel"):
+                 telemetry=None, name: str = "em.parallel"):
         if not units:
             raise ValueError("need at least one work unit")
         if num_workers <= 0:
             raise ValueError("num_workers must be positive")
-        import multiprocessing
-        from multiprocessing import shared_memory
-
         self.units = list(units)
         self.size = int(size)
         self.num_workers = min(int(num_workers), len(self.units))
-        self.timeout = float(timeout)
         self._telemetry = telemetry
         self._tname = name
         self._seq = 0
-        self.closed = False
-
-        ctx = mp_context
-        if ctx is None or isinstance(ctx, str):
-            ctx = multiprocessing.get_context(ctx)
-        num_units = len(self.units)
-        self._in_shm = shared_memory.SharedMemory(
-            create=True, size=self.size * _FLOAT_BYTES)
-        try:
-            self._out_shm = shared_memory.SharedMemory(
-                create=True, size=num_units * self.size * _FLOAT_BYTES)
-        except BaseException:
-            self._in_shm.close()
-            self._in_shm.unlink()
-            raise
-        self._log_n = np.ndarray((self.size,), dtype=_FLOAT,
-                                 buffer=self._in_shm.buf)
-        self._rows = np.ndarray((num_units, self.size), dtype=_FLOAT,
-                                buffer=self._out_shm.buf)
-        self._cmd_qs = [ctx.SimpleQueue() for _ in range(self.num_workers)]
-        self._ack_q = ctx.Queue()
-        assignments = [[] for _ in range(self.num_workers)]
-        for unit in self.units:
-            assignments[unit.index % self.num_workers].append(
-                (unit.index, unit))
-        self._procs = []
-        try:
-            for wid in range(self.num_workers):
-                proc = ctx.Process(
-                    target=_em_worker,
-                    args=(wid, assignments[wid], self._in_shm.name,
-                          self._out_shm.name, self.size, num_units,
-                          self._cmd_qs[wid], self._ack_q),
-                    daemon=True,
-                    name=f"{name}-worker-{wid}")
-                proc.start()
-                self._procs.append(proc)
-        except BaseException:
-            self.terminate()
-            raise
+        self._log_n = shared_array((self.size,), _FLOAT)
+        self._rows = shared_array((len(self.units), self.size), _FLOAT)
+        self._group = WorkerGroup(
+            [_UnitWorker(self.units[wid::self.num_workers], self._log_n,
+                         self._rows)
+             for wid in range(self.num_workers)],
+            timeout=timeout, name=name)
         if telemetry is not None:
             telemetry.set_gauge(f"{name}.workers", float(self.num_workers))
-            telemetry.set_gauge(f"{name}.units", float(num_units))
+            telemetry.set_gauge(f"{name}.units", float(len(self.units)))
 
-    # ------------------------------------------------------------------
+    @property
+    def closed(self) -> bool:
+        return self._group.closed
 
     def worker_pids(self) -> List[int]:
         """PIDs of the live workers (chaos tests kill these)."""
-        if self._procs is None:
-            return []
-        return [p.pid for p in self._procs]
-
-    def _check_workers_alive(self) -> None:
-        for proc in self._procs:
-            if not proc.is_alive():
-                raise WorkerPoolError(
-                    f"EM worker {proc.name} died "
-                    f"(exitcode {proc.exitcode})",
-                    worker_id=proc.name, exitcode=proc.exitcode)
+        return self._group.worker_pids()
 
     def iterate(self, log_n: np.ndarray) -> List[np.ndarray]:
         """Fan one response step out and return per-unit partials.
 
-        Broadcasts ``log_n`` through the input slab, waits for every
-        worker's ack, and returns copies of the contribution rows in
-        canonical unit order (the caller owns the reduction).
+        Broadcasts ``log_n`` through the shared input array, waits for
+        every worker's reply, and returns copies of the contribution
+        rows in canonical unit order (the caller owns the reduction).
 
         Raises:
-            WorkerPoolError: a worker died, errored, or the ack wait
+            WorkerPoolError: a worker died, errored, or the wait
                 exceeded ``timeout`` — callers fail over to inline
-                computation; the slabs are torn down by
-                :meth:`terminate`.
+                computation after :meth:`terminate`.
         """
-        if self.closed or self._procs is None:
-            raise WorkerPoolError("EM pool is closed")
+        self._group.check_alive()
         self._seq += 1
-        seq = self._seq
         start = time.perf_counter()
         self._log_n[:] = log_n
-        for cmd_q in self._cmd_qs:
-            cmd_q.put(("iter", seq))
+        self._group.broadcast(("iter", self._seq))
         pending = set(range(self.num_workers))
-        deadline = start + self.timeout
         while pending:
-            try:
-                msg = self._ack_q.get(timeout=_POLL_SECONDS)
-            except queue_mod.Empty:
-                self._check_workers_alive()
-                if time.perf_counter() > deadline:
-                    raise WorkerPoolError(
-                        f"EM pool wedged: no ack from workers "
-                        f"{sorted(pending)} within {self.timeout:.0f}s")
-                continue
-            kind, wid, ack_seq, detail = msg
-            if ack_seq != seq:  # stale ack from a failed-over iteration
-                continue
-            if kind == "error":
-                raise WorkerPoolError(
-                    f"EM worker {wid} failed: {detail}", worker_id=wid)
-            pending.discard(wid)
-        partials = [self._rows[i].copy() for i in range(len(self.units))]
+            wid, seq = self._group.recv()
+            if seq == self._seq:  # else stale, from a failed iteration
+                pending.discard(wid)
+        partials = [row.copy() for row in self._rows]
         if self._telemetry is not None:
             self._telemetry.observe(f"{self._tname}.iterate_seconds",
                                     time.perf_counter() - start)
         return partials
 
-    # ------------------------------------------------------------------
-
-    def _unlink_slabs(self) -> None:
-        self._log_n = None
-        self._rows = None
-        for shm in (self._in_shm, self._out_shm):
-            if shm is None:
-                continue
-            try:
-                shm.close()
-            except BufferError:  # pragma: no cover
-                pass
-            try:
-                shm.unlink()
-            except FileNotFoundError:  # pragma: no cover
-                pass
-        self._in_shm = None
-        self._out_shm = None
-
     def close(self) -> None:
-        """Stop the workers and unlink both slabs (idempotent)."""
-        if self.closed:
-            return
-        self.closed = True
-        if self._procs is not None:
-            for cmd_q in self._cmd_qs:
-                try:
-                    cmd_q.put(("stop",))
-                except (OSError, ValueError):  # pragma: no cover
-                    pass
-            for proc in self._procs:
-                proc.join(timeout=5.0)
-                if proc.is_alive():  # pragma: no cover - wedged worker
-                    proc.terminate()
-                    proc.join(timeout=5.0)
-            for cmd_q in self._cmd_qs:
-                cmd_q.close()
-            self._ack_q.close()
-            self._ack_q.join_thread()
-            self._procs = None
-            self._cmd_qs = None
-        self._unlink_slabs()
+        """Stop and join the workers (idempotent)."""
+        self._group.close()
         if self._telemetry is not None:
             self._telemetry.set_gauge(f"{self._tname}.workers", 0.0)
 
     def terminate(self) -> None:
-        """Hard stop (failover path): kill workers, unlink slabs.
-
-        Never waits on command queues — safe with dead or wedged
-        workers, exactly like the ingest pool's terminate.
-        """
-        self.closed = True
-        if self._procs is not None:
-            for proc in self._procs:
-                if proc.is_alive():
-                    proc.terminate()
-            for proc in self._procs:
-                proc.join(timeout=5.0)
-            self._procs = None
-            self._cmd_qs = None
-        self._unlink_slabs()
+        """Hard stop (failover path): kill and join the workers."""
+        self._group.terminate()
         if self._telemetry is not None:
             self._telemetry.set_gauge(f"{self._tname}.workers", 0.0)
 
@@ -429,10 +291,3 @@ class EMWorkerPool:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-    def __del__(self):  # pragma: no cover - GC safety net
-        try:
-            if not self.closed:
-                self.terminate()
-        except Exception:
-            pass

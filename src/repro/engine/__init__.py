@@ -1,10 +1,10 @@
-"""Sharded parallel ingestion engine on the mergeable-sketch protocol.
+"""Parallel ingestion on the mergeable-sketch protocol.
 
 The engine exploits the fact that the canonical state of most sketches
 in this repository is *additive* (FCM's per-leaf totals, CM/CS counter
 arrays, HLL register maxima, LC bitmap unions): a packet stream can be
-chunked into batches, fanned out to worker processes that each ingest
-into their own sketch replica, and reduced back with the protocol's
+split into batches, dealt to worker processes that each ingest into
+their own sketch replica, and reduced back with the protocol's
 ``merge`` — the result is byte-identical to a single sketch that saw
 the whole stream.
 
@@ -19,13 +19,13 @@ The pieces:
   :class:`IngestBackend` (``ingest_batch`` / ``seal`` / ``merge_into``
   / ``close`` / ``describe()``) and :func:`make_backend`, which builds
   any backend from a ``"kind[:shards]"`` spec string
-  (``inline`` / ``sharded`` / ``process`` / ``pool`` / ``network``).
+  (``inline`` / ``pool`` / ``network``).
 * :mod:`repro.engine.pool` — :class:`PersistentShardPool`, the
-  paper-scale path: persistent workers over a ``shared_memory`` slab
-  ring, hash-partitioned shard-local sketches, one merge per epoch.
-* :mod:`repro.engine.sharded` — :class:`ShardedIngestEngine`, the
-  per-batch batch/fan-out/reduce loop (the low-level engine beneath
-  the ``sharded``/``process`` backends).
+  paper-scale path: persistent workers over a shared slab ring, each
+  slab dealt to one worker's shard-local sketch, one merge per epoch.
+* :mod:`repro.engine.workers` — the worker core under both process
+  pools (this one and the EM pool in :mod:`repro.core.em_parallel`):
+  fork, queues, liveness and deadline waits, shared arrays.
 * :class:`repro.controlplane.collector.ParallelSketchCollector` — the
   collector drain path built on the codec: per-switch snapshot *bytes*
   instead of in-process object handles.
@@ -45,20 +45,15 @@ _EXPORTS = {
     "unpack_state": "repro.engine.codec",
     "peek_kind": "repro.engine.codec",
     "ensure_compatible_state": "repro.engine.codec",
-    "ShardedIngestEngine": "repro.engine.sharded",
-    "ShardedIngestStats": "repro.engine.sharded",
-    "chunk_batches": "repro.engine.sharded",
     "IngestBackend": "repro.engine.backends",
     "InlineBackend": "repro.engine.backends",
-    "EngineBackend": "repro.engine.backends",
     "PoolBackend": "repro.engine.backends",
     "NetworkBackend": "repro.engine.backends",
     "make_backend": "repro.engine.backends",
     "parse_backend_spec": "repro.engine.backends",
     "BACKEND_KINDS": "repro.engine.backends",
     "PersistentShardPool": "repro.engine.pool",
-    "shard_of": "repro.engine.pool",
-    "usable_cpus": "repro.engine.pool",
+    "usable_cpus": "repro.engine.workers",
 }
 
 __all__ = list(_EXPORTS)
@@ -66,7 +61,6 @@ __all__ = list(_EXPORTS)
 if TYPE_CHECKING:  # pragma: no cover - static analysis only
     from repro.engine.backends import (
         BACKEND_KINDS,
-        EngineBackend,
         IngestBackend,
         InlineBackend,
         NetworkBackend,
@@ -82,16 +76,8 @@ if TYPE_CHECKING:  # pragma: no cover - static analysis only
         peek_kind,
         unpack_state,
     )
-    from repro.engine.pool import (
-        PersistentShardPool,
-        shard_of,
-        usable_cpus,
-    )
-    from repro.engine.sharded import (
-        ShardedIngestEngine,
-        ShardedIngestStats,
-        chunk_batches,
-    )
+    from repro.engine.pool import PersistentShardPool
+    from repro.engine.workers import usable_cpus
 
 
 def __getattr__(name: str):

@@ -1,10 +1,7 @@
 """One ingest-backend contract behind every epoch runtime.
 
-Before this module the repo had three divergent constructor surfaces
-for "where do fed packets go": the inline sketch, the
-:class:`~repro.engine.sharded.ShardedIngestEngine` and the network
-collector, each wired ad hoc inside ``EpochManager``.  Now there is a
-single protocol and one factory:
+Every place fed packets can go sits behind a single protocol and one
+factory:
 
 * :class:`IngestBackend` — ``ingest_batch`` / ``seal`` / ``merge_into``
   / ``close`` / ``describe()``, plus the live-query helper ``peek()``;
@@ -15,10 +12,8 @@ single protocol and one factory:
   spec       backend
   ========== =====================================================
   inline     every batch straight into one live sketch
-  sharded    buffered fan-out through the sharded engine, in-process
-  process    same engine over a per-batch multiprocessing pool
-  pool       persistent shared-memory worker pool (``shm`` alias);
-             hash-partitioned shards, one merge per epoch
+  pool       persistent worker pool; each batch dealt to one
+             worker's shard, one merge per epoch
   network    routed through a collector's simulator; sealed by
              draining every switch
   ========== =====================================================
@@ -26,9 +21,8 @@ single protocol and one factory:
 Consistency contract (same for every backend): a sealed epoch's state
 is **byte-identical to serial ingest** of the same packet multiset.
 The backends differ in *when* the merged answer is cheap: ``inline``
-can ``peek()`` for free, the engine backends flush buffered batches on
-``peek()``, and ``pool`` must run a barrier + merge — shard answers
-are only cheaply queryable **post-seal**.
+can ``peek()`` for free, and ``pool`` must run a barrier + merge —
+shard answers are only cheaply queryable **post-seal**.
 
 Robustness: :class:`PoolBackend` retains the live epoch's batches (as
 views, nearly free) and, when a worker dies mid-epoch
@@ -50,7 +44,6 @@ from repro.sketches.base import as_key_array
 __all__ = [
     "IngestBackend",
     "InlineBackend",
-    "EngineBackend",
     "PoolBackend",
     "NetworkBackend",
     "make_backend",
@@ -58,8 +51,7 @@ __all__ = [
     "BACKEND_KINDS",
 ]
 
-BACKEND_KINDS = ("inline", "sharded", "process", "pool", "network")
-_KIND_ALIASES = {"shm": "pool"}
+BACKEND_KINDS = ("inline", "pool", "network")
 
 
 class IngestBackend:
@@ -104,7 +96,7 @@ class IngestBackend:
         raise NotImplementedError
 
     def close(self) -> None:
-        """Release workers/slabs/pools (idempotent)."""
+        """Stop and join any workers (idempotent)."""
         raise NotImplementedError
 
     def describe(self) -> dict:
@@ -156,81 +148,8 @@ class InlineBackend(IngestBackend):
         return {"spec": self.spec, "kind": "inline"}
 
 
-class EngineBackend(IngestBackend):
-    """Batches buffered and flushed through the sharded engine.
-
-    ``kind="sharded"`` runs the engine's chunk/deal/reduce loop
-    in-process; ``kind="process"`` fans each flush out over a
-    multiprocessing pool.  Either way the reduce is byte-identical to
-    serial ingest, so the sealed epoch does not depend on the backend.
-    """
-
-    def __init__(self, sketch_factory: Callable[[], object],
-                 kind: str = "sharded",
-                 num_shards: Optional[int] = None,
-                 telemetry=None, name: str = "backend.engine",
-                 **engine_options):
-        if kind not in ("sharded", "process"):
-            raise ValueError(f"EngineBackend kind must be 'sharded' or "
-                             f"'process', not {kind!r}")
-        from repro.engine.sharded import ShardedIngestEngine
-
-        self.kind = kind
-        self._factory = sketch_factory
-        mode = "inline" if kind == "sharded" else "process"
-        self._engine = ShardedIngestEngine(
-            sketch_factory, num_shards=num_shards, mode=mode,
-            telemetry=telemetry, name=f"{name}.engine", **engine_options)
-        self.spec = f"{kind}:{self._engine.num_shards}"
-        self._pending: List[np.ndarray] = []
-        self._merged = None
-        self.last_sealed_sketch = None
-
-    def ingest_batch(self, keys) -> None:
-        keys = as_key_array(keys)
-        if keys.size:
-            self._pending.append(keys)
-
-    def peek(self):
-        if self._pending:
-            batch = np.concatenate(self._pending) \
-                if len(self._pending) > 1 else self._pending[0]
-            self._pending = []
-            shard_result = self._engine.ingest(batch)
-            if self._merged is None:
-                self._merged = shard_result
-            else:
-                self._merged.merge(shard_result)
-        if self._merged is None:
-            self._merged = self._factory()
-        return self._merged
-
-    def seal(self, epoch: int = 0) -> bytes:
-        sealed = self.peek()
-        blob = sealed.to_state()
-        self.last_sealed_sketch = sealed
-        self._merged = None
-        self._pending = []
-        return blob
-
-    def merge_into(self, target):
-        target.merge(self.peek())
-        return target
-
-    def close(self) -> None:
-        self._engine.close()
-
-    def describe(self) -> dict:
-        return {
-            "spec": self.spec,
-            "kind": self.kind,
-            "shards": self._engine.num_shards,
-            "batch_size": self._engine.batch_size,
-        }
-
-
 class PoolBackend(IngestBackend):
-    """Persistent shared-memory worker pool with serial failover.
+    """Persistent worker pool with serial failover.
 
     The hot path publishes every batch into the pool's slab ring; the
     per-epoch :meth:`seal` is the only merge.  The backend additionally
@@ -425,9 +344,8 @@ class NetworkBackend(IngestBackend):
 def parse_backend_spec(spec: str):
     """``"kind[:shards]"`` → ``(kind, shards_or_None)``.
 
-    Accepts the ``shm`` alias for ``pool``.  Raises :class:`ValueError`
-    on anything else — an unknown backend must fail loudly, not fall
-    back to inline.
+    Raises :class:`ValueError` on anything else — an unknown backend
+    must fail loudly, not fall back to inline.
     """
     if not isinstance(spec, str) or not spec.strip():
         raise ValueError(f"backend spec must be a non-empty string, "
@@ -436,10 +354,10 @@ def parse_backend_spec(spec: str):
     if len(parts) > 2:
         raise ValueError(f"malformed backend spec {spec!r} "
                          f"(want 'kind' or 'kind:shards')")
-    kind = _KIND_ALIASES.get(parts[0], parts[0])
+    kind = parts[0]
     if kind not in BACKEND_KINDS:
         raise ValueError(
-            f"unknown backend {parts[0]!r} (one of {BACKEND_KINDS}, "
+            f"unknown backend {kind!r} (one of {BACKEND_KINDS}, "
             f"optionally 'kind:shards')")
     shards = None
     if len(parts) == 2:
@@ -483,10 +401,5 @@ def make_backend(spec: str, *,
     if kind == "inline":
         return InlineBackend(sketch_factory, telemetry=telemetry,
                              name=f"{name}.inline", **options)
-    if kind == "pool":
-        return PoolBackend(sketch_factory, num_shards=num_shards,
-                           telemetry=telemetry, name=f"{name}.pool",
-                           **options)
-    return EngineBackend(sketch_factory, kind=kind, num_shards=num_shards,
-                         telemetry=telemetry, name=f"{name}.{kind}",
-                         **options)
+    return PoolBackend(sketch_factory, num_shards=num_shards,
+                       telemetry=telemetry, name=f"{name}.pool", **options)

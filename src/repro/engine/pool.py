@@ -1,33 +1,27 @@
-"""Persistent worker pool over shared-memory slabs.
+"""Persistent shard-ingest workers over a shared slab ring.
 
-The :class:`~repro.engine.sharded.ShardedIngestEngine` pays process
-dispatch plus codec-bytes shipping on *every batch*; at the paper's
-trace scale (~20M packets per epoch) that overhead swallows the
-parallelism.  This module keeps the fan-out but moves every per-batch
-cost off the critical path:
+The pool fans ingest out across processes while keeping every
+per-batch cost off the critical path:
 
-* **workers are spawned once** and live for the pool's lifetime —
-  epochs reuse them (the pool survives ``EpochManager`` rotations);
-* **keys move through ``multiprocessing.shared_memory``**: the
-  publisher memcpys each batch into a slab of a fixed ring, workers
-  attach the same slab by name and read it as a zero-copy numpy view —
-  nothing but tiny ``(slab, length, seq)`` tuples cross the queues;
-* **each worker owns a shard-local sketch** and ingests its
-  hash-partitioned slice of every slab in place (:func:`shard_of` is a
-  seedless 64-bit mixer, so the partition is deterministic and
-  independent of ``PYTHONHASHSEED``);
+* **workers start once** and live for the pool's lifetime — epochs
+  reuse them (the pool survives ``EpochManager`` rotations);
+* **keys move through shared memory**: the publisher copies each batch
+  into a slab of a fixed ring that the workers inherited at fork time
+  (:func:`~repro.engine.workers.shared_array`) — nothing but tiny
+  ``(slab, length)`` tuples cross the queues;
+* **each slab goes to one worker**, dealt round-robin, which ingests
+  it into its shard-local sketch straight from the shared view;
 * **merge happens once per epoch**: codec serialization and the
   ``merge`` reduce run only at :meth:`PersistentShardPool.seal`.
 
 Because every mergeable sketch here has commutative integer state, the
 sealed result is **byte-identical** to a serial ingest of the same
-packet multiset — the hash partition only changes *which replica* adds
-each packet, never the sum.
+packet multiset — dealing slabs only changes *which replica* adds each
+packet, never the sum.
 
-Flow control: a slab is reused only after *every* worker has acked the
+Flow control: a slab is reused only after its worker has acked the
 batch published into it, so the ring depth bounds publisher run-ahead.
-Worker death is detected on the publisher side (liveness checks while
-publishing and while waiting for acks/states) and surfaces as a typed
+Worker death surfaces on the publisher side as a typed
 :class:`~repro.errors.WorkerPoolError` — the backend layer turns that
 into serial failover.
 
@@ -38,170 +32,74 @@ Consistency contract: shard answers are only queryable **post-seal**.
 
 from __future__ import annotations
 
-import os
-import queue as _queue
 import time
 from typing import Callable, List, Optional
 
 import numpy as np
 
+from repro.engine.workers import WorkerGroup, shared_array, usable_cpus
 from repro.errors import SketchCompatibilityError, WorkerPoolError
 from repro.sketches.base import MergeableStateMixin, as_key_array
 
 __all__ = [
     "PersistentShardPool",
-    "shard_of",
-    "usable_cpus",
     "DEFAULT_SLAB_PACKETS",
     "DEFAULT_NUM_SLABS",
 ]
-
-KEY_DTYPE = np.uint64
-KEY_BYTES = KEY_DTYPE().itemsize
 
 #: Keys per slab (2 MiB) and slabs in the ring (publisher run-ahead).
 DEFAULT_SLAB_PACKETS = 1 << 18
 DEFAULT_NUM_SLABS = 4
 
-_MIX = np.uint64(0xFF51AFD7ED558CCD)
-_SHIFT = np.uint64(33)
 
-
-def usable_cpus() -> int:
-    """CPUs this process may actually run on (affinity-aware).
-
-    ``os.cpu_count()`` reports the machine; a container or taskset can
-    pin us to fewer.  The bench records this so a ``cpus: 1`` run can
-    never masquerade as a parallel measurement.
-    """
-    try:
-        return len(os.sched_getaffinity(0)) or 1
-    except (AttributeError, OSError):  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
-
-
-def shard_of(keys: np.ndarray, num_shards: int) -> np.ndarray:
-    """Deterministic hash partition of a uint64 key array.
-
-    One multiply + xor-shift (the splitmix64 finalizer's core) spreads
-    the low bits before the modulo, so sequential key spaces still
-    balance.  Pure numpy, no Python hashing — the partition is stable
-    across processes and ``PYTHONHASHSEED`` values.
-    """
-    if num_shards <= 0:
-        raise ValueError("num_shards must be positive")
-    x = keys.astype(KEY_DTYPE, copy=True)
-    x *= _MIX
-    x ^= x >> _SHIFT
-    return x % np.uint64(num_shards)
-
-
-def attach_untracked(name: str):
-    """Attach to an existing slab without resource-tracker ownership.
-
-    Only the creating (publisher) process owns slab cleanup.  Python
-    3.13 grew ``track=False`` for exactly this case.  On older
-    versions the worker's attach re-registers the name with the
-    tracker it shares with the parent — a harmless set-add no-op
-    (the parent's ``unlink`` unregisters once, at close).  Crucially
-    the worker must **not** unregister manually: with a shared
-    tracker that would strip the parent's registration and turn the
-    close-time unlink into a tracker KeyError.
-    """
-    from multiprocessing import shared_memory
-
-    try:
-        return shared_memory.SharedMemory(name=name, track=False)
-    except TypeError:
-        return shared_memory.SharedMemory(name=name)
-
-
-#: Back-compat alias; the EM worker pool (`repro.core.em_parallel`)
-#: reuses the same attach discipline for its contribution slabs.
-_attach_untracked = attach_untracked
-
-
-def _pool_worker(worker_id: int, num_shards: int, factory,
-                 slab_names: List[str], slab_packets: int,
-                 cmd_q, ack_q, res_q) -> None:
-    """Worker main loop: attach slabs, ingest shard slices, seal.
+class _ShardWorker:
+    """One worker's handler: ingest dealt slabs, serialize at seal.
 
     Commands (FIFO per worker, so ``seal`` is a natural barrier behind
-    every batch already published):
+    every batch already dealt to it):
 
-    * ``("batch", slab_id, length, seq)`` — filter the slab's first
-      ``length`` keys down to this worker's hash shard, ingest, ack.
-    * ``("seal", epoch, reset)`` — serialize the shard sketch via the
-      codec, optionally reset for the next epoch, reply on ``res_q``.
-    * ``("stop",)`` — exit cleanly.
+    * ``("batch", slab_id, length)`` — ingest the slab's first
+      ``length`` keys, reply ``("ack", slab_id)``;
+    * ``("seal", epoch, reset)`` — reply ``("state", epoch, blob,
+      busy)`` with the shard's codec bytes, optionally starting a
+      fresh shard for the next epoch.
     """
-    slabs = [_attach_untracked(name) for name in slab_names]
-    views = [np.ndarray((slab_packets,), dtype=KEY_DTYPE, buffer=s.buf)
-             for s in slabs]
-    sketch = factory()
-    busy = 0.0
-    try:
-        while True:
-            msg = cmd_q.get()
-            kind = msg[0]
-            if kind == "batch":
-                _, slab_id, length, seq = msg
-                start = time.perf_counter()
-                keys = views[slab_id][:length]
-                if num_shards > 1:
-                    keys = keys[shard_of(keys, num_shards) == worker_id]
-                else:
-                    # Copy so no live view pins the slab buffer.
-                    keys = keys.copy()
-                if keys.size:
-                    sketch.ingest(keys)
-                busy += time.perf_counter() - start
-                ack_q.put((worker_id, seq))
-            elif kind == "seal":
-                _, epoch, reset = msg
-                start = time.perf_counter()
-                blob = sketch.to_state()
-                if reset:
-                    sketch = factory()
-                busy += time.perf_counter() - start
-                res_q.put(("state", worker_id, epoch, blob, busy))
-                if reset:
-                    busy = 0.0
-            elif kind == "stop":
-                break
-    except BaseException as exc:  # pragma: no cover - subprocess path
-        import traceback
 
-        try:
-            res_q.put(("error", worker_id,
-                       f"{type(exc).__name__}: {exc}",
-                       traceback.format_exc()))
-        finally:
-            raise
-    finally:
-        del views
-        for shm in slabs:
-            try:
-                shm.close()
-            except BufferError:  # pragma: no cover - exported view left
-                pass
+    def __init__(self, factory, slabs: List[np.ndarray]):
+        self.factory = factory
+        self.slabs = slabs
+        self.sketch = factory()
+        self.busy = 0.0
+
+    def __call__(self, msg):
+        start = time.perf_counter()
+        if msg[0] == "batch":
+            _, slab_id, length = msg
+            self.sketch.ingest(self.slabs[slab_id][:length])
+            self.busy += time.perf_counter() - start
+            return ("ack", slab_id)
+        _, epoch, reset = msg
+        blob = self.sketch.to_state()
+        if reset:
+            self.sketch = self.factory()
+        busy = self.busy + time.perf_counter() - start
+        self.busy = 0.0 if reset else busy
+        return ("state", epoch, blob, busy)
 
 
 class PersistentShardPool:
-    """Long-lived hash-sharded ingest workers over a slab ring.
+    """Long-lived shard-ingest workers over a slab ring.
 
     Args:
-        factory: zero-argument, picklable builder for one shard
-            replica (identically seeded, or the reduce will raise).
-            Validated up front exactly like the sharded engine:
-            order-dependent sketches are refused with a typed reason.
+        factory: zero-argument builder for one shard replica
+            (identically seeded, or the reduce will raise).  Validated
+            up front: order-dependent sketches are refused with a
+            typed reason.
         num_shards: worker count; defaults to :func:`usable_cpus`.
-        slab_packets: keys per shared-memory slab.
+        slab_packets: keys per slab.
         num_slabs: ring depth (publisher run-ahead in slabs).
-        timeout: seconds to wait on worker acks/states before declaring
+        timeout: seconds to wait on a worker reply before declaring
             the pool wedged (:class:`WorkerPoolError`).
-        mp_context: ``multiprocessing`` start-method name or context
-            (default: platform default, ``fork`` on Linux).
         telemetry: optional :class:`repro.telemetry.MetricsRegistry`;
             the pool gauges slab occupancy, publish-wait seconds,
             per-epoch merge seconds and worker utilization.
@@ -210,8 +108,8 @@ class PersistentShardPool:
     Lifecycle: workers and slabs are created lazily on the first
     :meth:`publish` and persist across :meth:`seal` calls — sealing an
     epoch resets the shard sketches, not the pool.  :meth:`close`
-    stops the workers and **unlinks every slab** (idempotent; also run
-    by ``__exit__``).
+    stops and joins the workers (idempotent; also run by
+    ``__exit__``).
     """
 
     def __init__(self, factory: Callable[[], MergeableStateMixin],
@@ -219,7 +117,6 @@ class PersistentShardPool:
                  slab_packets: int = DEFAULT_SLAB_PACKETS,
                  num_slabs: int = DEFAULT_NUM_SLABS,
                  timeout: float = 60.0,
-                 mp_context=None,
                  telemetry=None,
                  name: str = "pool"):
         if num_shards is None:
@@ -236,19 +133,12 @@ class PersistentShardPool:
         self.slab_packets = int(slab_packets)
         self.num_slabs = int(num_slabs)
         self.timeout = float(timeout)
-        self._mp_context = mp_context
         self._telemetry = telemetry
         self._tname = name
-        self._procs = None
-        self._slabs = None
-        self._slab_views = None
-        self._cmd_qs = None
-        self._ack_q = None
-        self._res_q = None
+        self._group: Optional[WorkerGroup] = None
+        self._slabs: Optional[List[np.ndarray]] = None
+        self._slab_busy = [False] * self.num_slabs
         self._next_slab = 0
-        self._seq = 0
-        self._seq_slab = {}
-        self._slab_pending = [0] * self.num_slabs
         self._epoch_wall_start = None
         self.closed = False
         self.published_packets = 0
@@ -279,129 +169,49 @@ class PersistentShardPool:
 
     @property
     def started(self) -> bool:
-        return self._procs is not None
+        return self._group is not None
 
     def worker_pids(self) -> List[int]:
         """PIDs of the live workers (empty before the first publish)."""
-        if self._procs is None:
+        if self._group is None:
             return []
-        return [p.pid for p in self._procs]
-
-    @property
-    def slab_names(self) -> List[str]:
-        if self._slabs is None:
-            return []
-        return [s.name for s in self._slabs]
+        return self._group.worker_pids()
 
     def _ensure_started(self) -> None:
-        if self._procs is not None:
+        if self._group is not None:
             return
         if self.closed:
             raise WorkerPoolError("pool is closed")
-        import multiprocessing
-        from multiprocessing import shared_memory
-
-        ctx = self._mp_context
-        if ctx is None or isinstance(ctx, str):
-            ctx = multiprocessing.get_context(ctx)
-        slabs = []
-        try:
-            for _ in range(self.num_slabs):
-                slabs.append(shared_memory.SharedMemory(
-                    create=True, size=self.slab_packets * KEY_BYTES))
-        except BaseException:
-            for shm in slabs:
-                shm.close()
-                shm.unlink()
-            raise
-        self._slabs = slabs
-        self._slab_views = [
-            np.ndarray((self.slab_packets,), dtype=KEY_DTYPE, buffer=s.buf)
-            for s in slabs]
-        names = [s.name for s in slabs]
-        self._cmd_qs = [ctx.SimpleQueue() for _ in range(self.num_shards)]
-        self._ack_q = ctx.Queue()
-        self._res_q = ctx.Queue()
-        procs = []
-        for wid in range(self.num_shards):
-            proc = ctx.Process(
-                target=_pool_worker,
-                args=(wid, self.num_shards, self.factory, names,
-                      self.slab_packets, self._cmd_qs[wid],
-                      self._ack_q, self._res_q),
-                daemon=True,
-                name=f"{self._tname}-worker-{wid}")
-            proc.start()
-            procs.append(proc)
-        self._procs = procs
+        self._slabs = [shared_array((self.slab_packets,), np.uint64)
+                       for _ in range(self.num_slabs)]
+        self._group = WorkerGroup(
+            [_ShardWorker(self.factory, self._slabs)
+             for _ in range(self.num_shards)],
+            timeout=self.timeout, name=self._tname)
         self._epoch_wall_start = time.perf_counter()
 
     def close(self) -> None:
-        """Stop the workers and unlink every slab (idempotent)."""
+        """Stop and join the workers (idempotent)."""
         if self.closed:
             return
         self.closed = True
-        if self._procs is not None:
-            for cmd_q in self._cmd_qs:
-                try:
-                    cmd_q.put(("stop",))
-                except (OSError, ValueError):  # pragma: no cover
-                    pass
-            for proc in self._procs:
-                proc.join(timeout=5.0)
-                if proc.is_alive():  # pragma: no cover - wedged worker
-                    proc.terminate()
-                    proc.join(timeout=5.0)
-            for cmd_q in self._cmd_qs:
-                cmd_q.close()
-            for q in (self._ack_q, self._res_q):
-                q.close()
-                q.join_thread()
-            self._procs = None
-            self._cmd_qs = None
-        if self._slabs is not None:
-            self._slab_views = None
-            for shm in self._slabs:
-                try:
-                    shm.close()
-                except BufferError:  # pragma: no cover
-                    pass
-                try:
-                    shm.unlink()
-                except FileNotFoundError:  # pragma: no cover
-                    pass
-            self._slabs = None
+        if self._group is not None:
+            self._group.close()
+        self._slabs = None
         t = self._telemetry
         if t is not None:
             t.set_gauge(f"{self._tname}.workers", 0.0)
 
     def terminate(self) -> None:
-        """Hard stop (failover path): kill workers, unlink slabs.
+        """Hard stop (failover path): kill and join the workers.
 
         Unlike :meth:`close` this never waits on the command queues —
         it is safe to call with dead or wedged workers.
         """
-        if self._procs is not None:
-            for proc in self._procs:
-                if proc.is_alive():
-                    proc.terminate()
-            for proc in self._procs:
-                proc.join(timeout=5.0)
-            self._procs = None
-            self._cmd_qs = None
         self.closed = True
-        if self._slabs is not None:
-            self._slab_views = None
-            for shm in self._slabs:
-                try:
-                    shm.close()
-                except BufferError:  # pragma: no cover
-                    pass
-                try:
-                    shm.unlink()
-                except FileNotFoundError:  # pragma: no cover
-                    pass
-            self._slabs = None
+        if self._group is not None:
+            self._group.terminate()
+        self._slabs = None
 
     def __enter__(self) -> "PersistentShardPool":
         return self
@@ -413,135 +223,69 @@ class PersistentShardPool:
     # publisher side
     # ------------------------------------------------------------------
 
-    def _check_workers_alive(self) -> None:
-        for proc in self._procs:
-            if not proc.is_alive():
-                raise WorkerPoolError(
-                    f"pool worker {proc.name} died "
-                    f"(exitcode {proc.exitcode})",
-                    worker_id=proc.name, exitcode=proc.exitcode)
-
-    def _drain_acks(self, block_for_slab: Optional[int] = None) -> None:
-        """Consume acks; optionally block until a slab is fully acked."""
-        deadline = time.monotonic() + self.timeout
-        while True:
-            try:
-                wid, seq = self._ack_q.get_nowait()
-                slab_id = self._seq_slab.get(seq)
-                if slab_id is not None:
-                    self._slab_pending[slab_id] -= 1
-                    if self._slab_pending[slab_id] <= 0:
-                        self._seq_slab.pop(seq, None)
-            except _queue.Empty:
-                if block_for_slab is None \
-                        or self._slab_pending[block_for_slab] <= 0:
-                    return
-                wait_start = time.perf_counter()
-                try:
-                    wid, seq = self._ack_q.get(timeout=0.05)
-                except _queue.Empty:
-                    self._publish_wait += time.perf_counter() - wait_start
-                    self._check_workers_alive()
-                    if time.monotonic() > deadline:
-                        raise WorkerPoolError(
-                            f"timed out after {self.timeout:.0f}s waiting "
-                            f"for slab {block_for_slab} to be acked")
-                    continue
-                self._publish_wait += time.perf_counter() - wait_start
-                slab_id = self._seq_slab.get(seq)
-                if slab_id is not None:
-                    self._slab_pending[slab_id] -= 1
+    def _recv(self):
+        """Next worker reply; acks free their slab on the way past."""
+        wid, reply = self._group.recv()
+        if reply[0] == "ack":
+            self._slab_busy[reply[1]] = False
+        return wid, reply
 
     def publish(self, keys) -> int:
-        """Copy a batch into the slab ring and hand it to every worker.
+        """Copy a batch into the slab ring and deal it to a worker.
 
-        Splits batches larger than one slab.  Returns the number of
-        packets published.  Raises :class:`WorkerPoolError` if a worker
-        has died or the ring stays full past the timeout.
+        Splits batches larger than one slab; each slab goes to the
+        next worker in turn.  Returns the number of packets published.
+        Raises :class:`WorkerPoolError` if a worker has died or a slab
+        stays unacked past the timeout.
         """
         keys = as_key_array(keys)
         if keys.size == 0:
             return 0
         self._ensure_started()
-        self._check_workers_alive()
-        views = self._slab_views
+        self._group.check_alive()
         for start in range(0, keys.size, self.slab_packets):
             chunk = keys[start:start + self.slab_packets]
             slab_id = self._next_slab
-            self._next_slab = (self._next_slab + 1) % self.num_slabs
-            self._drain_acks(block_for_slab=slab_id)
-            views[slab_id][:chunk.size] = chunk
-            seq = self._seq
-            self._seq += 1
-            self._seq_slab[seq] = slab_id
-            self._slab_pending[slab_id] = self.num_shards
-            msg = ("batch", slab_id, int(chunk.size), seq)
-            for cmd_q in self._cmd_qs:
-                cmd_q.put(msg)
+            self._next_slab = (slab_id + 1) % self.num_slabs
+            if self._slab_busy[slab_id]:
+                wait_start = time.perf_counter()
+                while self._slab_busy[slab_id]:
+                    self._recv()
+                self._publish_wait += time.perf_counter() - wait_start
+            self._slabs[slab_id][:chunk.size] = chunk
+            self._slab_busy[slab_id] = True
+            self._group.send(self.published_batches % self.num_shards,
+                             ("batch", slab_id, int(chunk.size)))
             self.published_batches += 1
         self.published_packets += int(keys.size)
         t = self._telemetry
         if t is not None:
             t.set_gauge(f"{self._tname}.slabs_in_use",
-                        float(sum(1 for p in self._slab_pending if p > 0)))
+                        float(sum(self._slab_busy)))
             t.set_gauge(f"{self._tname}.published_packets",
                         float(self.published_packets))
         return int(keys.size)
 
-    def _collect_states(self, expect_epoch: int):
-        """Gather one sealed state per worker, in worker-id order."""
-        deadline = time.monotonic() + self.timeout
-        blobs = {}
-        busy = {}
-        while len(blobs) < self.num_shards:
-            try:
-                msg = self._res_q.get(timeout=0.1)
-            except _queue.Empty:
-                self._check_workers_alive()
-                if time.monotonic() > deadline:
-                    raise WorkerPoolError(
-                        f"timed out after {self.timeout:.0f}s waiting for "
-                        f"{self.num_shards - len(blobs)} worker states")
-                continue
-            if msg[0] == "error":
-                _, wid, summary, tb = msg
-                raise WorkerPoolError(
-                    f"pool worker {wid} failed: {summary}\n{tb}",
-                    worker_id=wid)
-            _, wid, epoch, blob, worker_busy = msg
-            if epoch != expect_epoch:  # stale snapshot reply; skip
-                continue
-            blobs[wid] = blob
-            busy[wid] = worker_busy
-        return blobs, busy
-
     def _barrier_merge(self, epoch: int, reset: bool):
-        self._ensure_started()
-        self._check_workers_alive()
-        msg = ("seal", epoch, reset)
-        for cmd_q in self._cmd_qs:
-            cmd_q.put(msg)
-        blobs, busy = self._collect_states(epoch)
+        self._group.check_alive()
+        self._group.broadcast(("seal", epoch, reset))
+        # Each worker acks its batches before it answers the seal, so
+        # once every state is in, the whole ring is free again.
+        blobs, busy = {}, {}
+        while len(blobs) < self.num_shards:
+            wid, reply = self._recv()
+            if reply[0] == "state" and reply[1] == epoch:
+                blobs[wid], busy[wid] = reply[2], reply[3]
         merge_start = time.perf_counter()
         merged = self.factory()
         for wid in sorted(blobs):
             merged.merge(self.factory().from_state(blobs[wid]))
         self.last_merge_seconds = time.perf_counter() - merge_start
-        wall = time.perf_counter() - (self._epoch_wall_start
-                                      or time.perf_counter())
+        wall = time.perf_counter() - self._epoch_wall_start
         if wall > 0:
             self.last_worker_utilization = (
                 sum(busy.values()) / (self.num_shards * wall))
         self.last_publish_wait_seconds = self._publish_wait
-        # Seal is a barrier: every published batch is ingested, so the
-        # whole ring is free again.
-        self._seq_slab.clear()
-        self._slab_pending = [0] * self.num_slabs
-        try:
-            while True:
-                self._ack_q.get_nowait()
-        except _queue.Empty:
-            pass
         if reset:
             self.seals += 1
             self._publish_wait = 0.0
@@ -563,16 +307,16 @@ class PersistentShardPool:
     def seal(self, epoch: int = 0):
         """Per-epoch barrier + merge: returns the reduced sketch.
 
-        Every worker finishes its published batches (FIFO command
-        order makes ``seal`` a natural barrier), serializes its shard
+        Every worker finishes its dealt batches (FIFO command order
+        makes ``seal`` a natural barrier), serializes its shard
         replica through the codec, and resets it for the next epoch.
         The reduce merges in worker-id order, so the result is
         deterministic — and byte-identical to serial ingest.
 
         A pool that never saw a packet returns a fresh ``factory()``
-        without spawning anything.
+        without starting anything.
         """
-        if self._procs is None:
+        if self._group is None:
             return self.factory()
         return self._barrier_merge(epoch, reset=True)
 
@@ -583,7 +327,7 @@ class PersistentShardPool:
         query forces the same barrier + serialize + merge as a seal,
         without resetting the shard sketches.
         """
-        if self._procs is None:
+        if self._group is None:
             return self.factory()
         return self._barrier_merge(-1, reset=False)
 

@@ -142,12 +142,13 @@ class ServiceClosedError(MeasurementError, RuntimeError):
 
 
 class WorkerPoolError(MeasurementError, RuntimeError):
-    """Raised when a persistent ingest worker dies, errors, or times
-    out.  The shared-memory pool raises this from ``publish``/``seal``
-    on the *publisher* side; :class:`~repro.engine.backends.PoolBackend`
+    """Raised when a pool worker (ingest or EM) dies, errors, or times
+    out.  The worker core (:mod:`repro.engine.workers`) raises this on
+    the *parent* side; :class:`~repro.engine.backends.PoolBackend`
     catches it and fails over to serial direct-feed so the live epoch
-    is re-ingested rather than lost (breaker-style: the pool stays
-    down for the backend's remaining lifetime)."""
+    is re-ingested rather than lost, and the EM estimator recomputes
+    the iteration inline (breaker-style: the pool stays down for the
+    owner's remaining lifetime)."""
 
     def __init__(self, message: str, worker_id=None, exitcode=None):
         self.worker_id = worker_id

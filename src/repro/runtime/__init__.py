@@ -22,7 +22,7 @@ into a long-lived service:
 
 The runtime composes the existing layers rather than duplicating them:
 per-epoch ingest can fan out through
-:class:`~repro.engine.sharded.ShardedIngestEngine`, network-backed
+:class:`~repro.engine.pool.PersistentShardPool`, network-backed
 drains go through :class:`~repro.controlplane.collector
 .NetworkSketchCollector` (retry / circuit breaker / collection health
 all apply), every rotation and drain is traced as a span, and a

@@ -20,13 +20,11 @@ selected by a single spec string (identical sealed bytes on all of
 them):
 
 * ``inline`` — every batch straight into the live sketch;
-* ``sharded`` / ``process`` — batches buffer and flush through the
-  :class:`~repro.engine.sharded.ShardedIngestEngine`;
-* ``pool`` (alias ``shm``) — the persistent shared-memory worker pool
+* ``pool`` — the persistent worker pool
   (:class:`~repro.engine.pool.PersistentShardPool`): workers outlive
-  rotations, each epoch pays exactly one merge at seal time, and a
-  dead worker fails over to serial direct-feed without losing the
-  epoch;
+  rotations, each batch goes to one worker's shard, each epoch pays
+  exactly one merge at seal time, and a dead worker fails over to
+  serial direct-feed without losing the epoch;
 * ``network`` — batches routed through a collector's
   :class:`~repro.network.simulator.NetworkSimulator`; epochs sealed by
   draining every switch via :meth:`~repro.controlplane.collector
@@ -34,15 +32,13 @@ them):
   collection health all apply).  Built automatically when
   ``collector=`` is passed.
 
-A shard count rides in the spec (``"pool:4"``); the old ``num_shards=``
-kwarg still works under a :class:`DeprecationWarning`.
+A shard count rides in the spec (``"pool:4"``).
 """
 
 from __future__ import annotations
 
 import threading
 import time
-import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Set, Union
@@ -256,15 +252,11 @@ class EpochManager:
             exclusive with ``sketch_factory``.
         config: epoch boundary/retention knobs.
         backend: an ingest-backend spec string ``"kind[:shards]"`` —
-            ``"inline"``, ``"sharded"``, ``"process"`` or ``"pool"``
-            (alias ``"shm"``; the persistent shared-memory worker
-            pool) — or a ready-built
+            ``"inline"`` or ``"pool"`` (the persistent worker pool,
+            e.g. ``"pool:4"``) — or a ready-built
             :class:`~repro.engine.backends.IngestBackend` instance.
             Local mode only; network mode builds its backend from the
             collector.
-        num_shards: deprecated — encode the shard count in the spec
-            (``backend="pool:4"``).  Still honored, with a
-            :class:`DeprecationWarning`.
         telemetry: optional metrics registry; rotations and drains
             become ``runtime.rotate`` / ``runtime.drain`` spans, the
             live ledger is gauged and every sealed epoch emits one
@@ -288,7 +280,6 @@ class EpochManager:
                  collector=None,
                  config: Optional[EpochConfig] = None,
                  backend: Union[str, object] = "inline",
-                 num_shards: Optional[int] = None,
                  telemetry: Optional[MetricsRegistry] = None,
                  health_monitor: Optional[SketchHealthMonitor] = None,
                  auditor=None,
@@ -305,16 +296,8 @@ class EpochManager:
             raise ValueError(
                 "pass exactly one of sketch_factory= (local mode) or "
                 "collector= (network mode)")
-        if num_shards is not None:
-            warnings.warn(
-                "EpochManager(num_shards=...) is deprecated; encode the "
-                "shard count in the backend spec instead, e.g. "
-                "backend='process:4' or backend='pool:4'",
-                DeprecationWarning, stacklevel=2)
         if isinstance(backend, str):
-            kind, spec_shards = parse_backend_spec(backend)
-            if spec_shards is None and num_shards is not None:
-                backend = f"{kind}:{num_shards}"
+            kind, _ = parse_backend_spec(backend)
         else:
             if not isinstance(backend, IngestBackend):
                 raise ValueError(
@@ -405,10 +388,9 @@ class EpochManager:
     def live_sketch(self):
         """The live epoch's merged sketch via ``backend.peek()``.
 
-        Free on ``inline``; flushes buffered batches on the engine
-        backends; on ``pool`` it is a full barrier + merge (shard
-        answers are only cheaply queryable post-seal); in network
-        mode, the vantage switch's accumulating sketch.
+        Free on ``inline``; on ``pool`` it is a full barrier + merge
+        (shard answers are only cheaply queryable post-seal); in
+        network mode, the vantage switch's accumulating sketch.
         """
         return self.backend.peek()
 
@@ -416,7 +398,7 @@ class EpochManager:
         """Stop the runtime; optionally seal the in-progress epoch.
 
         Returns the final sealed epoch (or ``None``).  The backend
-        releases its workers/slabs/pools.
+        stops and joins its workers.
         """
         with self._exclusive("close"):
             sealed = None
@@ -479,8 +461,7 @@ class EpochManager:
         """Early-rotation check: live sketch declared SATURATED.
 
         Only polled on backends whose ``peek()`` is free (inline); a
-        per-batch barrier on the pool or an engine flush per batch
-        would defeat the backends' purpose.
+        per-batch barrier on the pool would defeat its purpose.
         """
         if not self.config.rotate_on_saturation \
                 or self.health_monitor is None \

@@ -8,7 +8,7 @@ Two informal protocols cover every structure in this repository:
 * :class:`CardinalitySketch` — distinct-flow counting.
 
 Both protocols include the **mergeable-sketch surface** used by the
-sharded ingestion engine (:mod:`repro.engine`) and the parallel
+parallel ingest pool (:mod:`repro.engine`) and the parallel
 collector:
 
 * ``merge(other)`` — fold another identically-configured sketch's
@@ -35,14 +35,12 @@ and ``_load_state_arrays(arrays)``; the base class supplies
 Sketches are sized by a memory budget in bytes, mirroring the paper's
 "same total memory" comparisons, and report the memory they actually
 allocated via :attr:`memory_bytes`.  The canonical constructor shape is
-``Sketch(memory_bytes, ..., seed=0, telemetry=None)``; renamed keywords
-keep working through :func:`pop_deprecated_kwarg` shims.
+``Sketch(memory_bytes, ..., seed=0, telemetry=None)``.
 """
 
 from __future__ import annotations
 
 import abc
-import warnings
 from typing import Dict, Iterable, Optional, Set
 
 import numpy as np
@@ -57,7 +55,6 @@ __all__ = [
     "SketchCompatibilityError",
     "counters_for_budget",
     "as_key_array",
-    "pop_deprecated_kwarg",
 ]
 
 
@@ -74,30 +71,6 @@ def as_key_array(keys) -> np.ndarray:
     if isinstance(keys, (list, tuple, range)):
         return np.asarray(keys, dtype=np.uint64)
     return np.fromiter((int(k) for k in keys), dtype=np.uint64)
-
-
-def pop_deprecated_kwarg(kwargs: dict, old: str, new: str, owner: str):
-    """Support a renamed constructor keyword for one deprecation cycle.
-
-    Returns the legacy value (or ``None``) after removing it from
-    ``kwargs``, warning the caller.  Raises ``TypeError`` when both the
-    old and new spellings are supplied.
-    """
-    if old not in kwargs:
-        return None
-    value = kwargs.pop(old)
-    warnings.warn(
-        f"{owner}({old}=...) is deprecated; use {new}=",
-        DeprecationWarning, stacklevel=3,
-    )
-    return value
-
-
-def _reject_unknown_kwargs(owner: str, kwargs: dict) -> None:
-    if kwargs:
-        unknown = ", ".join(sorted(kwargs))
-        raise TypeError(f"{owner}() got unexpected keyword arguments: "
-                        f"{unknown}")
 
 
 class MergeableStateMixin:

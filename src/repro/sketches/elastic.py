@@ -292,18 +292,22 @@ class ElasticSketch(FrequencySketch):
 
     def estimate_distribution(self, config: Optional[EMConfig] = None,
                               iterations: Optional[int] = None) -> EMResult:
-        """Flow-size distribution: heavy exact sizes + light-part EM."""
-        em = EMEstimator(self.light_virtual(), config=config)
-        result = em.run(iterations=iterations)
-        top = max([result.size_counts.shape[0] - 1]
-                  + [self.query(key) for key, _, _ in self.topk.entries()]
-                  + [1])
+        """Flow-size distribution: light-part EM plus each resident.
+
+        A flagged resident's packets from before it took its bucket
+        sit in the light part, which EM has already placed, so each
+        resident is added once at its heavy-part count: Σ j·n̂_j equals
+        the packets ingested.
+        """
+        with EMEstimator(self.light_virtual(), config=config) as em:
+            result = em.run(iterations=iterations)
+        heavy_sizes = [count for _, count, _ in self.topk.entries()
+                       if count > 0]
+        top = max([result.size_counts.shape[0] - 1] + heavy_sizes)
         counts = np.zeros(top + 1, dtype=np.float64)
         counts[: result.size_counts.shape[0]] = result.size_counts
-        for key, count, flagged in self.topk.entries():
-            size = self.query(key)
-            if 0 < size <= top:
-                counts[size] += 1.0
+        for size in heavy_sizes:
+            counts[size] += 1.0
         return EMResult(size_counts=counts, iterations=result.iterations)
 
     def estimate_entropy(self, config: Optional[EMConfig] = None) -> float:

@@ -118,5 +118,5 @@ class MRAC(FrequencySketch):
                               iterations: Optional[int] = None,
                               callback=None) -> EMResult:
         """Run MRAC's EM and return the flow-size-distribution estimate."""
-        estimator = EMEstimator([self.to_virtual()], config=config)
-        return estimator.run(iterations=iterations, callback=callback)
+        with EMEstimator([self.to_virtual()], config=config) as estimator:
+            return estimator.run(iterations=iterations, callback=callback)

@@ -34,7 +34,6 @@ from repro.sketches.base import (
     SketchCompatibilityError,
     SketchMemoryError,
     as_key_array,
-    pop_deprecated_kwarg,
 )
 
 
@@ -51,9 +50,7 @@ class PyramidCMSketch(FrequencySketch):
     Args:
         memory_bytes: total budget across all layers (a full pyramid
             costs ~2x the first layer, so ``w1 ~= memory_bits / 8``).
-        depth: in-word counter choices per flow (paper: 4).  The old
-            spelling ``num_hashes`` still works with a
-            ``DeprecationWarning``.
+        depth: in-word counter choices per flow (paper: 4).
         first_layer_bits: bits of a layer-1 counter (paper: 4).
         higher_layer_bits: total bits of a higher-layer counter,
             including its 2 flag bits (paper: 4, i.e. 2 counting bits).
@@ -64,21 +61,9 @@ class PyramidCMSketch(FrequencySketch):
 
     STATE_KIND = "pyramid"
 
-    def __init__(self, memory_bytes: int, depth: int | None = None,
+    def __init__(self, memory_bytes: int, depth: int = 4,
                  first_layer_bits: int = 4, higher_layer_bits: int = 4,
-                 word_bits: int = 64, seed: int = 0, telemetry=None,
-                 **kwargs):
-        legacy = pop_deprecated_kwarg(kwargs, "num_hashes", "depth",
-                                      "PyramidCMSketch")
-        if kwargs:
-            unknown = ", ".join(sorted(kwargs))
-            raise TypeError("PyramidCMSketch() got unexpected keyword "
-                            f"arguments: {unknown}")
-        if depth is None:
-            depth = 4 if legacy is None else legacy
-        elif legacy is not None:
-            raise TypeError("PyramidCMSketch() got both depth= and the "
-                            "deprecated num_hashes=")
+                 word_bits: int = 64, seed: int = 0, telemetry=None):
         if depth <= 0:
             raise ValueError("depth must be positive")
         if first_layer_bits < 2 or higher_layer_bits < 3:
@@ -117,11 +102,6 @@ class PyramidCMSketch(FrequencySketch):
         self._hashes = hash_families(depth, base_seed=seed)
         self._values: List[np.ndarray] | None = None
         self._flags: List[np.ndarray] | None = None  # per-child carry flag
-
-    @property
-    def num_hashes(self) -> int:
-        """Deprecated alias of :attr:`depth`."""
-        return self.depth
 
     def _leaf_indices(self, key: int) -> List[int]:
         """The flow's ``depth`` layer-1 counters (CM-style)."""

@@ -1,23 +1,18 @@
-"""The unified ``IngestBackend`` contract, its factory, and the shims.
+"""The unified ``IngestBackend`` contract and its factory.
 
 One spec string — ``"kind[:shards]"`` — must build every ingest
-backend, every backend must seal a state byte-identical to serial
-ingest of the same packets, and the old constructor surfaces
-(``EpochManager(num_shards=...)``, the CLI's ``--shards``) must keep
-working behind ``DeprecationWarning`` shims.
+backend, an unknown or removed kind must fail loudly, and every
+backend must seal a state byte-identical to serial ingest of the same
+packets.
 """
-
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from repro.cli import _backend_spec
 from repro.controlplane import ParallelSketchCollector
 from repro.core import FCMSketch
 from repro.engine import (
     BACKEND_KINDS,
-    EngineBackend,
     InlineBackend,
     NetworkBackend,
     PoolBackend,
@@ -53,10 +48,7 @@ def keys():
 class TestParseBackendSpec:
     @pytest.mark.parametrize("spec,expected", [
         ("inline", ("inline", None)),
-        ("sharded", ("sharded", None)),
-        ("process:4", ("process", 4)),
         ("pool:2", ("pool", 2)),
-        ("shm:3", ("pool", 3)),       # alias
         (" Pool:2 ", ("pool", 2)),    # whitespace + case
         ("network", ("network", None)),
     ])
@@ -66,6 +58,8 @@ class TestParseBackendSpec:
     @pytest.mark.parametrize("spec", [
         "", "   ", None, 7, "threads", "pool:x", "pool:0", "pool:-1",
         "pool:2:3",
+        # Removed kinds: the per-batch engine and the "shm" alias.
+        "sharded", "process:4", "shm:3",
     ])
     def test_invalid_specs_fail_loudly(self, spec):
         with pytest.raises(ValueError):
@@ -79,10 +73,7 @@ class TestParseBackendSpec:
 class TestMakeBackend:
     @pytest.mark.parametrize("spec,cls", [
         ("inline", InlineBackend),
-        ("sharded:2", EngineBackend),
-        ("process:2", EngineBackend),
         ("pool:2", PoolBackend),
-        ("shm:2", PoolBackend),
     ])
     def test_every_local_kind_constructs(self, spec, cls):
         with make_backend(spec, sketch_factory=fcm_factory) as backend:
@@ -119,7 +110,7 @@ class TestMakeBackend:
 # equivalence: every backend seals the serial state, byte for byte
 # ----------------------------------------------------------------------
 
-ALL_LOCAL_SPECS = ("inline", "sharded:3", "process:2", "pool:2")
+ALL_LOCAL_SPECS = ("inline", "pool:2", "pool:3")
 
 
 class TestBackendEquivalence:
@@ -163,48 +154,6 @@ class TestBackendEquivalence:
             assert backend.last_report is not None
             assert backend.last_states
             assert blob == backend.last_states[backend.em_switch]
-
-
-# ----------------------------------------------------------------------
-# deprecation shims: the old surfaces still work, but warn
-# ----------------------------------------------------------------------
-
-class TestDeprecationShims:
-    def test_epoch_manager_num_shards_warns_and_folds(self):
-        with pytest.deprecated_call():
-            manager = EpochManager(
-                fcm_factory, config=EpochConfig(epoch_packets=5_000),
-                backend="process", num_shards=2)
-        try:
-            assert manager.backend_spec == "process:2"
-        finally:
-            manager.close()
-
-    def test_spec_shard_count_beats_deprecated_num_shards(self):
-        with pytest.deprecated_call():
-            manager = EpochManager(
-                fcm_factory, config=EpochConfig(epoch_packets=5_000),
-                backend="process:4", num_shards=2)
-        try:
-            assert manager.backend_spec == "process:4"
-        finally:
-            manager.close()
-
-    def test_cli_shards_flag_warns_and_folds(self):
-        with pytest.deprecated_call():
-            spec = _backend_spec(SimpleNamespace(backend="process",
-                                                 shards=4))
-        assert spec == "process:4"
-        with pytest.deprecated_call():
-            spec = _backend_spec(SimpleNamespace(backend="pool:2",
-                                                 shards=4))
-        assert spec == "pool:2"  # explicit spec wins
-
-    def test_cli_without_shards_stays_silent(self, recwarn):
-        assert _backend_spec(
-            SimpleNamespace(backend="pool:2", shards=None)) == "pool:2"
-        assert not [w for w in recwarn.list
-                    if issubclass(w.category, DeprecationWarning)]
 
 
 # ----------------------------------------------------------------------

@@ -12,6 +12,7 @@ from repro.controlplane import (
 from repro.core import FCMSketch, FCMTopK
 from repro.framework import FCMFramework
 from repro.metrics import f1_score
+from repro.sketches import ElasticSketch
 from repro.traffic import Trace, caida_like_trace
 
 
@@ -47,21 +48,25 @@ class TestDistributionWrapper:
 class TestDistributionMass:
     """Σ j·n̂_j equals the packets ingested: each counter's combinations
     sum to its value, and each Top-K resident adds its own count once
-    (a flagged resident's earlier packets are FCM residue, which EM
-    has already placed)."""
+    (a flagged resident's earlier packets are FCM or light-part
+    residue, which EM has already placed)."""
 
     @pytest.mark.parametrize("make", [
         lambda: FCMSketch.with_memory(16 * 1024, seed=1),
         lambda: FCMTopK(32 * 1024, seed=1),
-    ], ids=["fcm", "fcm+topk"])
+        lambda: ElasticSketch(32 * 1024, seed=1),
+    ], ids=["fcm", "fcm+topk", "elastic"])
     def test_mass_equals_packets_ingested(self, trace, make):
         sketch = make()
         # Several batches, so that residents get evicted and flagged.
         for chunk in np.array_split(trace.keys, 6):
             sketch.ingest(chunk)
-        if isinstance(sketch, FCMTopK):
+        if hasattr(sketch, "topk"):
             assert any(flagged for _, _, flagged in sketch.topk.entries())
-        result = estimate_distribution(sketch, iterations=4)
+        if isinstance(sketch, ElasticSketch):
+            result = sketch.estimate_distribution(iterations=4)
+        else:
+            result = estimate_distribution(sketch, iterations=4)
         sizes = np.arange(result.size_counts.shape[0], dtype=np.float64)
         assert float(sizes @ result.size_counts) == pytest.approx(
             trace.keys.shape[0], rel=1e-9)

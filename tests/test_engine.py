@@ -1,28 +1,14 @@
-"""The sharded parallel-ingest engine and the snapshot drain path.
+"""The engine's ingest entry point on an empty stream.
 
-The engine's contract is determinism: chunk → fan out → ingest →
-merge-reduce must produce a sketch **byte-identical** (``to_state()``)
-to one that ingested the whole stream serially, for any shard count
-and in both execution modes.  The collector half moves drained
-sketches as codec bytes and must report the same measurements as the
-in-process handle path.
+Whatever local backend :func:`repro.engine.make_backend` builds, a
+stream with no packets must seal to the state of a fresh sketch, and
+the pool must not spawn a worker for it.
 """
 
 import numpy as np
-import pytest
 
-from repro.controlplane import (
-    NetworkSketchCollector,
-    ParallelSketchCollector,
-)
 from repro.core import FCMSketch
-from repro.engine import ShardedIngestEngine, chunk_batches
-from repro.errors import SketchCompatibilityError
-from repro.network.simulator import NetworkSimulator
-from repro.network.topology import leaf_spine
-from repro.sketches import CountMinSketch, CUSketch
-from repro.telemetry import MetricsRegistry
-from repro.traffic import zipf_trace
+from repro.engine import make_backend
 
 MEMORY = 16 * 1024
 
@@ -31,177 +17,12 @@ def fcm_factory():
     return FCMSketch.with_memory(MEMORY, seed=3)
 
 
-def cm_factory():
-    return CountMinSketch(MEMORY, seed=3)
-
-
-@pytest.fixture(scope="module")
-def keys():
-    return zipf_trace(50_000, alpha=1.2, seed=9).keys
-
-
-# ----------------------------------------------------------------------
-# chunking
-# ----------------------------------------------------------------------
-
-def test_chunk_batches_covers_stream(keys):
-    batches = chunk_batches(keys, 4096)
-    assert sum(b.shape[0] for b in batches) == keys.shape[0]
-    assert all(b.shape[0] == 4096 for b in batches[:-1])
-    assert np.array_equal(np.concatenate(batches), keys)
-
-
-def test_chunk_batches_empty_and_invalid():
-    assert chunk_batches(np.array([], dtype=np.uint64), 64) == []
-    with pytest.raises(ValueError):
-        chunk_batches(np.arange(4, dtype=np.uint64), 0)
-
-
-# ----------------------------------------------------------------------
-# determinism: sharded == serial, byte for byte
-# ----------------------------------------------------------------------
-
-@pytest.mark.parametrize("shards", [1, 2, 3, 4, 5])
-def test_inline_sharding_matches_serial(keys, shards):
-    serial = fcm_factory()
-    serial.ingest(keys)
-    engine = ShardedIngestEngine(fcm_factory, num_shards=shards,
-                                 batch_size=4096, mode="inline")
-    merged = engine.ingest(keys)
-    assert merged.to_state() == serial.to_state()
-
-
-def test_process_mode_four_workers_matches_serial_on_1m_trace():
-    # The ISSUE acceptance criterion: 4 workers, seeded 1M-packet
-    # trace, byte-identical state.
-    trace_keys = zipf_trace(1_000_000, alpha=1.2, seed=1).keys
-    serial = fcm_factory()
-    serial.ingest(trace_keys)
-    with ShardedIngestEngine(fcm_factory, num_shards=4,
-                             mode="process") as engine:
-        merged = engine.ingest(trace_keys)
-    stats = engine.last_stats
-    assert merged.to_state() == serial.to_state()
-    assert stats.mode == "process"
-    assert stats.shards == 4
-    assert stats.packets == 1_000_000
-    assert sum(stats.shard_packets) == 1_000_000
-
-
-def test_batch_size_does_not_change_result(keys):
-    states = set()
-    for batch_size in (1024, 4096, 65536):
-        engine = ShardedIngestEngine(cm_factory, num_shards=3,
-                                     batch_size=batch_size, mode="inline")
-        states.add(engine.ingest(keys).to_state())
-    assert len(states) == 1
-
-
-def test_empty_stream(keys):
-    engine = ShardedIngestEngine(fcm_factory, num_shards=4, mode="auto")
-    merged = engine.ingest(np.array([], dtype=np.uint64))
-    assert merged.to_state() == fcm_factory().to_state()
-    assert engine.last_stats.mode == "inline"
-    assert engine.last_stats.packets == 0
-
-
-def test_auto_mode_stays_inline_for_single_shard(keys):
-    engine = ShardedIngestEngine(fcm_factory, num_shards=1, mode="auto")
-    engine.ingest(keys)
-    assert engine.last_stats.mode == "inline"
-
-
-# ----------------------------------------------------------------------
-# protocol enforcement and stats
-# ----------------------------------------------------------------------
-
-def test_unmergeable_factory_rejected_up_front():
-    with pytest.raises(SketchCompatibilityError) as excinfo:
-        ShardedIngestEngine(lambda: CUSketch(MEMORY, seed=3))
-    assert "order" in str(excinfo.value)
-
-
-def test_invalid_configuration_rejected():
-    with pytest.raises(ValueError):
-        ShardedIngestEngine(fcm_factory, num_shards=0)
-    with pytest.raises(ValueError):
-        ShardedIngestEngine(fcm_factory, batch_size=0)
-    with pytest.raises(ValueError):
-        ShardedIngestEngine(fcm_factory, mode="threads")
-
-
-def test_stats_and_telemetry(keys):
-    registry = MetricsRegistry()
-    engine = ShardedIngestEngine(fcm_factory, num_shards=2,
-                                 batch_size=8192, mode="inline",
-                                 telemetry=registry)
-    engine.ingest(keys)
-    stats = engine.last_stats
-    assert stats.pps > 0
-    assert stats.state_bytes > 0
-    assert stats.batches == -(-keys.shape[0] // 8192)
-    assert registry.counter("engine.ingest.packets").value \
-        == keys.shape[0]
-    assert registry.counter("engine.ingest.calls").value == 1
-
-
-# ----------------------------------------------------------------------
-# the snapshot-bytes drain path
-# ----------------------------------------------------------------------
-
-def _run_collector(cls, trace, windows=3):
-    sim = NetworkSimulator(leaf_spine(num_leaves=4, num_spines=2),
-                           memory_bytes=32 * 1024, seed=1)
-    return cls(sim).process(trace, windows)
-
-
-def test_parallel_collector_matches_handle_path():
-    trace = zipf_trace(30_000, alpha=1.3, seed=11)
-    base = _run_collector(NetworkSketchCollector, trace)
-    parallel = _run_collector(ParallelSketchCollector, trace)
-    for rb, rp in zip(base, parallel):
-        assert rp.total_packets == rb.total_packets
-        assert rp.cardinality_estimate == rb.cardinality_estimate
-        # The base path moves object handles: no snapshot bytes.
-        assert rb.snapshot_bytes == {}
-        # The parallel path serialized every reached switch…
-        assert sorted(rp.snapshot_bytes) == rp.health.switches_reached
-        assert all(n > 0 for n in rp.snapshot_bytes.values())
-        # …and the rehydrated replicas carry identical state.
-        for name, sketch in rb.collected_sketches.items():
-            assert rp.collected_sketches[name].to_state() \
-                == sketch.to_state()
-
-
-def test_parallel_collector_counts_snapshot_telemetry():
-    trace = zipf_trace(20_000, alpha=1.3, seed=11)
-    registry = MetricsRegistry()
-    sim = NetworkSimulator(leaf_spine(num_leaves=4, num_spines=2),
-                           memory_bytes=32 * 1024, seed=1,
-                           telemetry=registry)
-    reports = ParallelSketchCollector(sim, telemetry=registry) \
-        .process(trace, 2)
-    drains = sum(len(r.health.switches_reached) for r in reports)
-    moved = sum(sum(r.snapshot_bytes.values()) for r in reports)
-    assert registry.counter("collector.snapshots_ok").value == drains
-    assert registry.counter("collector.snapshot_bytes").value == moved
-    assert moved > 0
-
-
-def test_parallel_collector_falls_back_without_codec():
-    class NoCodecSketch:
-        def ingest(self, keys):
-            pass
-
-        def cardinality(self):
-            return 0.0
-
-    registry = MetricsRegistry()
-    sim = NetworkSimulator(leaf_spine(num_leaves=4, num_spines=2),
-                           memory_bytes=32 * 1024, seed=1)
-    collector = ParallelSketchCollector(sim, telemetry=registry)
-    sketch = NoCodecSketch()
-    returned, nbytes = collector._transport("leaf0", sketch)
-    assert returned is sketch
-    assert nbytes is None
-    assert registry.counter("collector.snapshot_fallbacks").value == 1
+def test_empty_stream():
+    for spec in ("inline", "pool:4"):
+        with make_backend(spec, sketch_factory=fcm_factory) as backend:
+            backend.ingest_batch(np.array([], dtype=np.uint64))
+            assert backend.seal() == fcm_factory().to_state(), spec
+            info = backend.describe()
+            if info["kind"] == "pool":
+                assert not info["pool"]["started"]
+                assert info["pool"]["published_packets"] == 0

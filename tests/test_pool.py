@@ -1,12 +1,13 @@
-"""Persistent shared-memory worker pool: lifecycle, determinism, chaos.
+"""Persistent worker pool: lifecycle, determinism, teardown, chaos.
 
-The pool's contract extends the engine's: workers are spawned once and
-live across epoch seals, batches travel through shared-memory slabs
-(zero-copy numpy views on the worker side), each worker owns one
-hash-partitioned shard, and the only merge is the per-epoch seal — yet
-the sealed state must stay **byte-identical** to a serial sketch that
-ingested the whole stream.  On worker death the :class:`PoolBackend`
-wrapper must fail over to serial direct-feed without losing the epoch.
+Workers start once and live across epoch seals, batches travel through
+a shared slab ring (zero-copy numpy views on the worker side), each
+slab is dealt to one worker's shard, and the only merge is the
+per-epoch seal — yet the sealed state must stay **byte-identical** to
+a serial sketch that ingested the whole stream, whatever the worker
+count and wherever the batch edges fall.  On worker death the
+:class:`PoolBackend` wrapper must fail over to serial direct-feed
+without losing the epoch, and no process may outlive ``close()``.
 """
 
 import os
@@ -15,16 +16,18 @@ import signal
 import subprocess
 import sys
 import time
-from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
 
 from repro.core import FCMSketch
-from repro.engine import PersistentShardPool, PoolBackend, shard_of
+from repro.engine import PersistentShardPool, PoolBackend
 from repro.errors import SketchCompatibilityError, WorkerPoolError
 from repro.sketches import CUSketch
+from repro.telemetry import MetricsRegistry
 from repro.traffic import zipf_trace
+
+SRC = str(pathlib.Path(__file__).parent.parent / "src")
 
 MEMORY = 16 * 1024
 
@@ -44,28 +47,54 @@ def keys():
     return zipf_trace(40_000, alpha=1.2, seed=9).keys
 
 
+def publish_in_batches(pool, keys, batch):
+    for start in range(0, keys.shape[0], batch):
+        pool.publish(keys[start:start + batch])
+
+
+def run_script(script):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=120,
+                          env=env)
+
+
 # ----------------------------------------------------------------------
-# hash partitioning
+# determinism: dealing slabs splits the stream at batch edges, so the
+# seal must equal serial ingest at every worker count and batch size
 # ----------------------------------------------------------------------
 
-class TestShardOf:
-    def test_partition_is_total_and_deterministic(self, keys):
-        shards = shard_of(keys, 3)
-        assert shards.shape == keys.shape
-        assert set(np.unique(shards)) <= {0, 1, 2}
-        assert np.array_equal(shards, shard_of(keys, 3))
-        # Partitioning by mask recovers every packet exactly once.
-        total = sum(int((shards == s).sum()) for s in range(3))
-        assert total == keys.shape[0]
+class TestPoolDeterminism:
+    @pytest.mark.parametrize("batch", [1024, 4096, 65536])
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
+    def test_seal_matches_serial(self, keys, workers, batch):
+        with PersistentShardPool(fcm_factory, num_shards=workers) as pool:
+            publish_in_batches(pool, keys, batch)
+            assert pool.seal().to_state() == serial_state(keys)
 
-    def test_single_shard_takes_everything(self, keys):
-        assert (shard_of(keys, 1) == 0).all()
+    def test_four_workers_match_serial_on_1m_trace(self):
+        trace_keys = zipf_trace(1_000_000, alpha=1.2, seed=1).keys
+        with PersistentShardPool(fcm_factory, num_shards=4) as pool:
+            publish_in_batches(pool, trace_keys, 65536)
+            assert pool.seal().to_state() == serial_state(trace_keys)
+            assert pool.published_packets == 1_000_000
 
-    def test_spreads_across_shards(self, keys):
-        # The mixer must not collapse a zipf key space onto one shard.
-        counts = np.bincount(shard_of(keys, 4).astype(np.int64),
-                             minlength=4)
-        assert (counts > 0).all()
+    def test_stats_and_telemetry(self, keys):
+        registry = MetricsRegistry()
+        with PersistentShardPool(fcm_factory, num_shards=2,
+                                 telemetry=registry) as pool:
+            publish_in_batches(pool, keys, 8192)
+            pool.seal()
+            assert pool.published_batches == -(-keys.shape[0] // 8192)
+            assert pool.describe()["seals"] == 1
+        assert registry.gauge("pool.published_packets").value \
+            == keys.shape[0]
+        assert registry.counter("pool.seals").value == 1
+        # close() reports the workers as gone, and is idempotent.
+        assert registry.gauge("pool.workers").value == 0.0
+        pool.close()
+        assert pool.worker_pids() == []
 
 
 # ----------------------------------------------------------------------
@@ -104,6 +133,7 @@ class TestPoolLifecycle:
     def test_seal_before_any_publish_returns_fresh_sketch(self):
         pool = PersistentShardPool(fcm_factory, num_shards=2)
         try:
+            assert pool.publish(np.array([], dtype=np.uint64)) == 0
             assert pool.seal().to_state() == fcm_factory().to_state()
             assert not pool.started
         finally:
@@ -132,21 +162,54 @@ class TestPoolLifecycle:
 
 
 # ----------------------------------------------------------------------
-# teardown: shared memory is provably released
+# teardown: nothing outlives close()
 # ----------------------------------------------------------------------
 
 class TestPoolTeardown:
-    def test_slabs_unlinked_on_close(self, keys):
-        pool = PersistentShardPool(fcm_factory, num_shards=2)
-        pool.publish(keys[:4096])
-        names = list(pool.slab_names)
-        assert names
-        pool.seal()
-        pool.close()
-        for name in names:
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
-        pool.close()  # idempotent
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+    def test_no_process_outlives_close(self):
+        """After closing the ingest pool, a pool-backed EpochManager and
+        a two-worker EM estimator, the interpreter has no child process
+        left: not a worker, not a resource tracker."""
+        script = (
+            "import os\n"
+            "import numpy as np\n"
+            "from repro.core import FCMSketch\n"
+            "from repro.core.em import EMConfig, EMEstimator\n"
+            "from repro.core.virtual import convert_sketch\n"
+            "from repro.engine import PersistentShardPool\n"
+            "from repro.runtime import EpochConfig, EpochManager\n"
+            "def factory():\n"
+            "    return FCMSketch.with_memory(16 * 1024, seed=3)\n"
+            "keys = np.arange(60000, dtype=np.uint64) % 997\n"
+            "pool = PersistentShardPool(factory, num_shards=2)\n"
+            "pool.publish(keys)\n"
+            "sketch = pool.seal()\n"
+            "pool.close()\n"
+            "manager = EpochManager(factory, backend='pool:2',\n"
+            "    config=EpochConfig(epoch_packets=20000))\n"
+            "for start in range(0, keys.size, 16384):\n"
+            "    manager.feed(keys[start:start + 16384])\n"
+            "manager.close()\n"
+            "estimator = EMEstimator(convert_sketch(sketch),\n"
+            "                        EMConfig(workers=2))\n"
+            "estimator.run(iterations=2)\n"
+            "estimator.close()\n"
+            "me = str(os.getpid())\n"
+            "children = []\n"
+            "for pid in filter(str.isdigit, os.listdir('/proc')):\n"
+            "    try:\n"
+            "        stat = open(f'/proc/{pid}/stat').read()\n"
+            "        cmdline = open(f'/proc/{pid}/cmdline').read()\n"
+            "    except OSError:\n"
+            "        continue\n"
+            "    if stat.rsplit(')', 1)[1].split()[1] == me:\n"
+            "        children.append(cmdline.replace('\\0', ' '))\n"
+            "print('children:', children)\n"
+        )
+        proc = run_script(script)
+        assert proc.returncode == 0, proc.stderr
+        assert "children: []" in proc.stdout, proc.stdout
 
     def test_publish_after_close_raises(self, keys):
         pool = PersistentShardPool(fcm_factory, num_shards=2)
@@ -158,7 +221,6 @@ class TestPoolTeardown:
         """A full publish/seal/close cycle in a pristine interpreter
         must leave no resource_tracker complaints on stderr (leaked or
         double-unregistered segments both warn loudly there)."""
-        src = str(pathlib.Path(__file__).parent.parent / "src")
         script = (
             "import numpy as np\n"
             "from repro.core import FCMSketch\n"
@@ -171,11 +233,7 @@ class TestPoolTeardown:
             "pool.close()\n"
             "print('OK')\n"
         )
-        env = dict(os.environ)
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        proc = subprocess.run([sys.executable, "-c", script],
-                              capture_output=True, text=True,
-                              timeout=120, env=env)
+        proc = run_script(script)
         assert proc.returncode == 0, proc.stderr
         assert "OK" in proc.stdout
         assert "resource_tracker" not in proc.stderr, proc.stderr

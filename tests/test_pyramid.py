@@ -25,7 +25,7 @@ class TestPyramidStructure:
 
     def test_rejects_bad_params(self):
         with pytest.raises(ValueError):
-            PyramidCMSketch(1024, num_hashes=0)
+            PyramidCMSketch(1024, depth=0)
         with pytest.raises(ValueError):
             PyramidCMSketch(1024, word_bits=10, first_layer_bits=4)
 
