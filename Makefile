@@ -4,7 +4,7 @@ PYTHON ?= python
 
 .PHONY: install test chaos test-batch-equivalence test-em-parallel bench \
 	bench-baseline bench-compare bench-parallel bench-paper report \
-	examples stream-smoke serve-smoke obs-smoke clean
+	examples stream-smoke serve-smoke obs-smoke perfbench-check clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -129,6 +129,26 @@ obs-smoke:
 	grep -q "# EOF" /tmp/obs_smoke.om.txt
 	$(PYTHON) -c "from repro.telemetry.obsplane import parse_openmetrics; \
 		parse_openmetrics(open('/tmp/obs_smoke.om.txt').read())"
+
+# Repository benchmark check: perfbench's own suite (each output check
+# catches a corrupted answer), then a one-second untraced run of every
+# workload, which must exit 0 and report "correct": true (every sealed
+# window's ledger, heavy hitters, counts and accuracy checked against
+# exact counts).  pytest's testpaths hold only tests/, so nothing else
+# runs perfbench.  Each step has a `timeout` lid.
+PERFBENCH_WORKLOADS = caida_windows service_mice topk_windows
+
+perfbench-check:
+	timeout 600 $(PYTHON) -m pytest perfbench -q
+	@for workload in $(PERFBENCH_WORKLOADS); do \
+		echo "== perfbench $$workload =="; \
+		timeout 300 $(PYTHON) perfbench/run.py --workload $$workload \
+			--seed 1 --seconds 1 --trace 0 \
+			> /tmp/perfbench_$$workload.out || exit 1; \
+		tail -n 1 /tmp/perfbench_$$workload.out; \
+		tail -n 1 /tmp/perfbench_$$workload.out \
+			| grep -q '"correct": true' || exit 1; \
+	done
 
 report:
 	$(PYTHON) -m benchmarks.report

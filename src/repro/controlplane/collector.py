@@ -41,6 +41,7 @@ from repro.robustness.policy import (
     CollectionHealth,
     CollectionPolicy,
 )
+from repro.sketches.base import distinct_keys
 from repro.telemetry import MetricsRegistry
 from repro.telemetry.health import SketchHealthMonitor, SketchHealthReport
 from repro.telemetry.tracing import maybe_span
@@ -177,12 +178,10 @@ class SketchCollector:
                 if self.change_threshold is not None \
                         and previous_sketch is not None:
                     detector = HeavyChangeDetector(previous_sketch, sketch)
-                    candidates = np.union1d(
-                        previous_keys, window.ground_truth.keys_array()
-                    )
+                    candidates = distinct_keys(np.concatenate(
+                        [previous_keys, window.ground_truth.keys_array()]))
                     report.heavy_changes = detector.detect(
-                        [int(k) for k in candidates], self.change_threshold
-                    )
+                        candidates, self.change_threshold)
                 if self.health_monitor is not None:
                     report.sketch_health = self.health_monitor.assess(
                         sketch, window_index=index,

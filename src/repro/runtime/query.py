@@ -142,12 +142,11 @@ class StreamingQueryAPI:
         """Flows whose scoped estimate reaches ``threshold``."""
         if threshold <= 0:
             raise ValueError("threshold must be positive")
-        keys = as_key_array(list(candidate_keys))
+        keys = as_key_array(candidate_keys)
         if keys.size == 0:
             return set()
-        estimates = self.query_many(keys, scope=scope)
-        return {int(k) for k, est in zip(keys, estimates)
-                if est >= threshold}
+        return set(keys[self.query_many(keys, scope=scope)
+                        >= threshold].tolist())
 
     def cardinality(self, scope: Scope = "live") -> float:
         """Distinct-flow estimate summed across the scope's epochs."""

